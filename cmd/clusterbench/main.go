@@ -12,7 +12,7 @@
 //	clusterbench -list
 //	clusterbench 'cluster/sweep-*'
 //	clusterbench -threads 8 -p policy=numa-blind -p shards=4 cluster/point
-//	clusterbench -batch 8 -linger 1000 cluster/point
+//	clusterbench -p batch=8 -p linger=1000 cluster/point
 //	clusterbench -format=json -deterministic 'cluster/*'
 package main
 

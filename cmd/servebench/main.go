@@ -10,7 +10,7 @@
 //	servebench -list
 //	servebench 'service/kv/sweep-pmemkv'
 //	servebench -threads 4 -p arrival=burst -p offered=2000 service/kv/pmemkv
-//	servebench -batch 8 -linger 1000 service/batch/point
+//	servebench -p batch=8 -p linger=1000 service/batch/point
 //	servebench -format=json -deterministic 'service/kv/*'
 package main
 

@@ -174,7 +174,7 @@ func init() {
 				"policy": PolicyLocalPacked, "shards": "2", "putlog": "1",
 				"get": "0.5", "put": "0.5", "scan": "0",
 				"minkops": "2000", "maxkops": "26000", "points": "5",
-				"faultgrid": "none,crash",
+				"faultgrid":  "none,crash",
 				"faultshard": "0", "faultat": "0.4", "detect": "2000",
 			},
 		},

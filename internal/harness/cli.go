@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"optanestudy/internal/sim"
@@ -76,14 +75,6 @@ func CLIMain(argv []string, opts CLIOptions) int {
 	ops := fs.Int("ops", 0, "operation budget for count-style scenarios (0 = default)")
 	seed := fs.Uint64("seed", 0, "base RNG seed (0 = scenario default); trial seeds derive from it and the resolved spec")
 	det := fs.Bool("deterministic", false, "suppress wall-clock fields so repeated and parallel runs are byte-identical")
-	batch := fs.Int("batch", 0, "group-commit batch depth for serving scenarios (0 = scenario default; shorthand for -p batch=N)")
-	lingerNS := fs.Float64("linger", -1, "group-commit linger bound in ns for serving scenarios (negative = scenario default; shorthand for -p linger=NS)")
-	cacheBytes := fs.Int64("cache", 0, "DRAM hot-tier capacity in bytes for serving scenarios (0 = scenario default; shorthand for -p cache=N)")
-	quotaBytes := fs.Int64("quota", 0, "per-tenant hot-tier byte quota (0 = scenario default; shorthand for -p quota=N)")
-	faultKind := fs.String("fault", "", "fault to inject in cluster failover scenarios: crash, stall, socket or churn (empty = scenario default; shorthand for -p fault=K)")
-	detectNS := fs.Float64("detect", -1, "crash-detection delay in ns before promotion starts (negative = scenario default; shorthand for -p detect=NS)")
-	replicate := fs.Bool("replicate", false, "pair every shard with a standby replica on the next socket (shorthand for -p replicate=1)")
-	devstat := fs.Bool("devstat", false, "emit per-DIMM dev_* device-health metrics over the measured window (shorthand for -p devstat=1)")
 	tracePath := fs.String("trace", "", "write per-op phase spans and timeline samples as an optanestudy-trace/v1 JSONL stream to this file (tracing is off when empty; results are unchanged either way)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -129,33 +120,6 @@ func CLIMain(argv []string, opts CLIOptions) int {
 			}
 		}()
 	}
-	// The batch flags are param shorthands: they fold into the param map
-	// (and so into derived trial seeds) exactly as their -p spellings would.
-	if *batch > 0 {
-		params["batch"] = strconv.Itoa(*batch)
-	}
-	if *lingerNS >= 0 {
-		params["linger"] = strconv.FormatFloat(*lingerNS, 'g', -1, 64)
-	}
-	if *cacheBytes > 0 {
-		params["cache"] = strconv.FormatInt(*cacheBytes, 10)
-	}
-	if *quotaBytes > 0 {
-		params["quota"] = strconv.FormatInt(*quotaBytes, 10)
-	}
-	if *faultKind != "" {
-		params["fault"] = *faultKind
-	}
-	if *detectNS >= 0 {
-		params["detect"] = strconv.FormatFloat(*detectNS, 'g', -1, 64)
-	}
-	if *replicate {
-		params["replicate"] = "1"
-	}
-	if *devstat {
-		params["devstat"] = "1"
-	}
-
 	globs := fs.Args()
 	if len(globs) == 0 {
 		globs = opts.DefaultGlobs

@@ -52,8 +52,9 @@ type Node struct {
 // Stats is one pair's cumulative replication outcome.
 type Stats struct {
 	// ShipBatches / ShipRecs / ShipBytes count everything shipped onto a
-	// standby log: synchronous per-op and per-group shipments plus
-	// catch-up reshipments (bytes include the 8-byte record header).
+	// standby log: synchronous shipments (one batch per serving group
+	// commit, a batch of one per unbatched PUT) plus catch-up reshipments
+	// (bytes include the 8-byte record header).
 	ShipBatches, ShipRecs, ShipBytes int64
 	// Failovers counts promotions. ReplayBatches / ReplayRecs are what
 	// the promotion walk recovered from the shipped stream; LostRecs the
@@ -179,32 +180,10 @@ func (p *Pair) histRecord(i int) (w int, key, val []byte) {
 	return int(m.wkr), rec[:m.klen:m.klen], rec[m.klen:]
 }
 
-// Record mirrors one unbatched logged PUT: buffer it in the history and,
-// when the standby is synced, ship it synchronously as a batch-of-one
-// group commit on the standby's worker-w log stream.
-func (p *Pair) Record(ctx *platform.MemCtx, w int, key, val []byte) error {
-	p.bufRecord(w, key, val)
-	if !p.attached || !p.synced {
-		return nil
-	}
-	sl := p.standby().Log
-	sl.Begin(w)
-	if err := sl.Add(ctx, w, key, val); err != nil {
-		return err
-	}
-	if err := sl.Commit(ctx, w); err != nil {
-		return err
-	}
-	p.shipped++
-	p.stats.ShipBatches++
-	p.stats.ShipRecs++
-	p.stats.ShipBytes += int64(8 + len(key) + len(val))
-	return nil
-}
-
-// BatchBegin mirrors a serving group commit's Begin: when the standby is
-// synced, a ship batch opens on its worker-w stream and stays pinned to
-// that log until BatchCommit seals it.
+// BatchBegin mirrors a serving group commit's Begin (a batch of one for
+// an unbatched PUT): when the standby is synced, a ship batch opens on
+// its worker-w stream and stays pinned to that log until BatchCommit
+// seals it.
 func (p *Pair) BatchBegin(w int) {
 	if p.attached && p.synced {
 		sl := p.standby().Log
@@ -213,7 +192,7 @@ func (p *Pair) BatchBegin(w int) {
 	}
 }
 
-// BatchAdd buffers one batched logged PUT in the history and stages it
+// BatchAdd buffers one logged PUT in the history and stages it
 // on worker w's open ship batch (volatile — nothing reaches the
 // standby's media until BatchCommit streams the group).
 func (p *Pair) BatchAdd(ctx *platform.MemCtx, w int, key, val []byte) error {

@@ -51,13 +51,19 @@ func testPair(t *testing.T) (*platform.Platform, *Pair) {
 	return p, pair
 }
 
-// record ships key id via the unbatched path with a value distinct from
-// the preload, so promotion correctness is observable through Get.
+// record ships key id as a batch of one — the unbatched serving path —
+// with a value distinct from the preload, so promotion correctness is
+// observable through Get.
 func record(t *testing.T, ctx *platform.MemCtx, pair *Pair, id int64) {
 	t.Helper()
+	w := int(id) % testWorkers
 	key := service.KeyFor(id, testKeySize)
 	val := service.ValFor(id+1000, testValSize)
-	if err := pair.Record(ctx, int(id)%testWorkers, key, val); err != nil {
+	pair.BatchBegin(w)
+	if err := pair.BatchAdd(ctx, w, key, val); err != nil {
+		t.Error(err)
+	}
+	if err := pair.BatchCommit(ctx, w); err != nil {
 		t.Error(err)
 	}
 }

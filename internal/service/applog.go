@@ -57,25 +57,16 @@ func NewAppendLog(p *platform.Platform, bs BackendSpec, workers int, region int6
 	return &AppendLog{region: region, logs: logs}, nil
 }
 
-// Append durably logs a key/value record on worker w's log: an 8-byte
-// length header plus the payload, assembled in the appender's reused
-// scratch buffer (no allocation on the PUT latency path) and streamed with
-// non-temporal stores. The log is circular; a record that would straddle
-// the region end wraps to the start (the stream restart is rare and costs
-// one combining miss). A record larger than the per-worker region is an
-// error — wrapping it would spill into the next worker's log.
+// Append durably logs a key/value record on worker w's log: the record
+// render assembles, streamed with non-temporal stores and fenced. The
+// log is circular; a record that would straddle the region end wraps to
+// the start (the stream restart is rare and costs one combining miss).
 func (l *AppendLog) Append(ctx *platform.MemCtx, w int, key, val []byte) error {
-	n := 8 + len(key) + len(val)
-	if int64(n) > l.region {
-		return fmt.Errorf("service: %d-byte log record exceeds the %d-byte per-worker region", n, l.region)
+	a, rec, err := l.render(w, key, val)
+	if err != nil {
+		return err
 	}
-	a := l.logs[w]
-	rec := a.Scratch(n)
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(val)))
-	copy(rec[8:], key)
-	copy(rec[8+len(key):], val)
-	_, err := a.Append(ctx, rec)
+	_, err = a.Append(ctx, rec)
 	return err
 }
 
@@ -85,13 +76,27 @@ func (l *AppendLog) Append(ctx *platform.MemCtx, w int, key, val []byte) error {
 // drained in one wakeup.
 func (l *AppendLog) Begin(w int) { l.logs[w].Begin() }
 
-// Add stages a key/value record on worker w's open batch, assembled in
-// the appender's reused scratch buffer exactly as Append does, but
-// written toward durability without a fence.
+// Add stages a key/value record on worker w's open batch, rendered
+// exactly as Append renders it, but written toward durability without a
+// fence.
 func (l *AppendLog) Add(ctx *platform.MemCtx, w int, key, val []byte) error {
+	a, rec, err := l.render(w, key, val)
+	if err != nil {
+		return err
+	}
+	_, err = a.Add(ctx, rec)
+	return err
+}
+
+// render assembles one record for worker w's appender: an 8-byte length
+// header plus the payload, in the appender's reused scratch buffer (no
+// allocation on the PUT latency path). A record larger than the
+// per-worker region is an error — wrapping it would spill into the next
+// worker's log.
+func (l *AppendLog) render(w int, key, val []byte) (*pmem.Appender, []byte, error) {
 	n := 8 + len(key) + len(val)
 	if int64(n) > l.region {
-		return fmt.Errorf("service: %d-byte log record exceeds the %d-byte per-worker region", n, l.region)
+		return nil, nil, fmt.Errorf("service: %d-byte log record exceeds the %d-byte per-worker region", n, l.region)
 	}
 	a := l.logs[w]
 	rec := a.Scratch(n)
@@ -99,8 +104,7 @@ func (l *AppendLog) Add(ctx *platform.MemCtx, w int, key, val []byte) error {
 	binary.LittleEndian.PutUint32(rec[4:], uint32(len(val)))
 	copy(rec[8:], key)
 	copy(rec[8+len(key):], val)
-	_, err := a.Add(ctx, rec)
-	return err
+	return a, rec, nil
 }
 
 // Commit seals worker w's open batch with one fence (a no-op when the

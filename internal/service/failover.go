@@ -10,28 +10,26 @@ import (
 )
 
 // Replicator is a shard's replication hook: the serving loop mirrors
-// every write-behind-logged PUT through it, and the fault driver fails
-// over through it. internal/replica implements it with a primary/standby
-// pair on distinct (socket, DIMM-set) placements; service stays ignorant
-// of the pairing — it only knows that logged PUTs must be shipped before
-// they are acked (synchronous replication: an op completes at the SHIP
-// fence, so a promoted replica serves every acked write) and that
-// Promote returns the backend and log the shard serves from next.
+// every write-behind-logged PUT through it as a group commit (a batch of
+// one at depth 1), and the fault driver fails over through it.
+// internal/replica implements it with a primary/standby pair on distinct
+// (socket, DIMM-set) placements; service stays ignorant of the pairing —
+// it only knows that logged PUTs must be shipped before they are acked
+// (synchronous replication: an op completes at the SHIP fence, so a
+// promoted replica serves every acked write) and that Promote returns
+// the backend and log the shard serves from next.
 //
 // Only logged PUTs replicate — replication requires the shard to run
 // write-behind logging (Shard.PutLog), and a replicated run must not mix
 // in deletes (they bypass the log).
 type Replicator interface {
-	// Record mirrors one unbatched logged PUT: the record enters the
-	// primary's volatile send history and, when the standby is attached
-	// and synced, ships synchronously as a batch-of-one on the standby's
-	// log (real media writes plus a fence, remote over UPI when the
-	// standby is on another socket).
-	Record(ctx *platform.MemCtx, w int, key, val []byte) error
-	// BatchBegin / BatchAdd / BatchCommit mirror a group commit: records
-	// stage volatile and the whole shipment streams with ONE fence at
-	// BatchCommit, reusing the appender's Begin/Add/Commit framing
-	// verbatim as the wire format.
+	// BatchBegin / BatchAdd / BatchCommit mirror a group commit: each
+	// record enters the primary's volatile send history and, when the
+	// standby is attached and synced, stages volatile on the standby's
+	// log; the whole shipment streams with ONE fence at BatchCommit (real
+	// media writes, remote over UPI when the standby is on another
+	// socket), reusing the appender's Begin/Add/Commit framing verbatim
+	// as the wire format.
 	BatchBegin(w int)
 	BatchAdd(ctx *platform.MemCtx, w int, key, val []byte) error
 	BatchCommit(ctx *platform.MemCtx, w int) error
@@ -84,8 +82,8 @@ type failoverState struct {
 	stallUntil sim.Time
 	// inWindow spans crash → caught-up; promoted marks the promotion
 	// inside the current window; downSince is the crash instant.
-	inWindow bool
-	promoted bool
+	inWindow  bool
+	promoted  bool
 	downSince sim.Time
 
 	st FailoverStats

@@ -418,7 +418,7 @@ func runPoint(spec harness.Spec) (harness.Trial, error) {
 		Duration: spec.Duration, Warmup: spec.Warmup,
 		Poll: sim.Nanos(pollNS), Seed: spec.Seed,
 		BatchSize: batch, BatchLinger: sim.Nanos(lingerNS),
-		Recorder:  rec, CacheStats: cacheStats,
+		Recorder: rec, CacheStats: cacheStats,
 	})
 	if err != nil {
 		return harness.Trial{}, err

@@ -134,12 +134,12 @@ type Config struct {
 	Warmup   sim.Time
 	// Poll is the idle worker's queue re-check interval (default 200 ns).
 	Poll sim.Time
-	// BatchSize, when > 1, switches workers to group-commit dispatch: a
-	// worker drains up to BatchSize admitted requests per wakeup and
-	// journals every logged PUT in the group through ONE fence (a
+	// BatchSize is the group-commit depth: a worker drains up to
+	// max(BatchSize, 1) admitted requests per wakeup. Above 1, every
+	// logged PUT in the group is journaled through ONE fence (a
 	// pmem.Appender group commit), so the fence cost amortizes across the
-	// batch. 0 or 1 keeps the one-request-per-wakeup loop — and the
-	// one-fence-per-PUT persists — exactly as before.
+	// batch. At 0 or 1 a worker serves one request per wakeup and a
+	// logged PUT persists through its own Append and fence.
 	BatchSize int
 	// BatchLinger bounds the latency a partially-filled batch may add: a
 	// worker that drained fewer than BatchSize requests waits at most
@@ -238,7 +238,7 @@ type request struct {
 	op       Op
 	key      int64 // global key id
 	arrival  sim.Time
-	drained  sim.Time // stamped by pop/popN: when a worker took the request
+	drained  sim.Time // stamped by popN: when a worker took the request
 	measured bool
 }
 
@@ -314,21 +314,10 @@ func (s *shardState) trim() {
 	}
 }
 
-func (s *shardState) pop(now sim.Time) (request, bool) {
-	if s.occ.PopN(now, 1) == 0 {
-		return request{}, false
-	}
-	r := s.queue[s.head]
-	r.drained = now
-	s.head++
-	s.trim()
-	return r, true
-}
-
 // popN batch-drains up to n admitted requests at time now, appending
 // them to dst (which the caller sizes to its batch capacity, so the
 // steady state never reallocates) and closing each one's queue
-// residency exactly as single pops would.
+// residency.
 func (s *shardState) popN(now sim.Time, n int, dst []request) []request {
 	k := s.occ.PopN(now, n)
 	for i := 0; i < k; i++ {
@@ -507,13 +496,15 @@ func Serve(cfg Config) (*Result, error) {
 			if measured {
 				st.tenants[ti].Offered++
 			}
+			// Routing needs the key, so sharded dispatch draws it before
+			// the admission check (a shed request still consumed a draw —
+			// open-loop clients do not know the queue is full when they
+			// pick a key). The flat configuration draws it only once
+			// admitted.
+			var key int64
+			si := 0
 			if sharded {
-				// Routing needs the key, so sharded dispatch draws it
-				// before the admission check (a shed request still
-				// consumed a draw — open-loop clients do not know the
-				// queue is full when they pick a key).
-				key := gens[ti].next()
-				si := 0
+				key = gens[ti].next()
 				if cfg.Route != nil {
 					si = cfg.Route(key)
 				}
@@ -521,25 +512,8 @@ func Serve(cfg Config) (*Result, error) {
 					runErr = fmt.Errorf("service: route sent key %d to shard %d of %d", key, si, len(st.shards))
 					break
 				}
-				sh := &st.shards[si]
-				if measured {
-					sh.offered++
-				}
-				if sh.full() {
-					if measured {
-						st.tenants[ti].Dropped++
-						sh.dropped++
-						if fo := sh.fo; fo != nil && fo.inWindow {
-							fo.st.ShedWindow++
-						}
-						st.rec.RecordShed(ti, si)
-					}
-					continue
-				}
-				sh.push(request{tenant: ti, op: op, key: key, arrival: t, measured: measured})
-				continue
 			}
-			sh := &st.shards[0]
+			sh := &st.shards[si]
 			if measured {
 				sh.offered++
 			}
@@ -550,112 +524,73 @@ func Serve(cfg Config) (*Result, error) {
 					if fo := sh.fo; fo != nil && fo.inWindow {
 						fo.st.ShedWindow++
 					}
-					st.rec.RecordShed(ti, 0)
+					st.rec.RecordShed(ti, si)
 				}
 				continue
 			}
-			sh.push(request{
-				tenant: ti, op: op, key: gens[ti].next(),
-				arrival: t, measured: measured,
-			})
+			if !sharded {
+				key = gens[ti].next()
+			}
+			sh.push(request{tenant: ti, op: op, key: key, arrival: t, measured: measured})
 		}
 		st.closed = true
 	})
 
-	// Workers: per-shard pop-execute loops. An idle worker re-polls its
-	// shard's queue every cfg.Poll; after the dispatcher closes, workers
-	// drain the backlog so admitted requests always complete. With
-	// cfg.BatchSize > 1 a worker drains a whole group per wakeup and
-	// journals its logged PUTs through one group commit; the default loop
-	// is the original one-request-per-wakeup path, untouched.
+	// Workers: per-shard drain-execute loops. A worker drains up to depth
+	// admitted requests per wakeup and runs them as one executeBatch
+	// group; an idle worker re-polls its shard's queue every cfg.Poll, and
+	// after the dispatcher closes, workers drain the backlog so admitted
+	// requests always complete.
+	depth := max(cfg.BatchSize, 1)
 	for si := range shards {
-		si := si
 		shard := &shards[si]
 		sh := &st.shards[si]
 		for w := 0; w < shard.Workers; w++ {
-			w := w
 			name := fmt.Sprintf("serve-worker%d", w)
 			if sharded {
 				name = fmt.Sprintf("serve-s%dw%d", si, w)
 			}
-			if cfg.BatchSize > 1 {
-				p.Go(name, shard.Socket, func(ctx *platform.MemCtx) {
-					proc := ctx.Proc()
-					sc := newOpScratch(cfg)
-					batch := make([]request, 0, cfg.BatchSize)
-					fo := sh.fo
-					for runErr == nil {
-						if fo != nil && fo.blocked(proc.Now()) {
-							// Shard storage is down or stalled: the pool
-							// survives (the frontend lives on) but cannot
-							// serve until promotion or the stall deadline.
-							proc.Sleep(cfg.Poll)
-							continue
-						}
-						batch = sh.popN(proc.Now(), cfg.BatchSize, batch[:0])
-						if len(batch) == 0 {
-							if st.closed {
-								return
-							}
-							proc.Sleep(cfg.Poll)
-							continue
-						}
-						// Linger for stragglers when the batch came up short —
-						// but the linger deadline runs from the OLDEST drained
-						// request's arrival, so a request is never held more
-						// than BatchLinger past its arrival before execution
-						// starts. Under backlog the oldest request has already
-						// aged past the deadline and the group commits
-						// immediately: linger adds latency only at light load,
-						// and at most BatchLinger of it.
-						if len(batch) < cfg.BatchSize && cfg.BatchLinger > 0 && !st.closed {
-							if dl := batch[0].arrival + cfg.BatchLinger; dl > proc.Now() {
-								proc.Sleep(dl - proc.Now())
-								batch = sh.popN(proc.Now(), cfg.BatchSize-len(batch), batch)
-							}
-						}
-						t0 := proc.Now()
-						if err := executeBatch(ctx, cfg, shard, w, batch, sc, sh, st); err != nil {
-							runErr = err
-							return
-						}
-						sh.busy += proc.Now() - t0
-					}
-				})
-				continue
-			}
 			p.Go(name, shard.Socket, func(ctx *platform.MemCtx) {
 				proc := ctx.Proc()
 				sc := newOpScratch(cfg)
+				batch := make([]request, 0, depth)
 				fo := sh.fo
 				for runErr == nil {
 					if fo != nil && fo.blocked(proc.Now()) {
+						// Shard storage is down or stalled: the pool
+						// survives (the frontend lives on) but cannot
+						// serve until promotion or the stall deadline.
 						proc.Sleep(cfg.Poll)
 						continue
 					}
-					req, ok := sh.pop(proc.Now())
-					if !ok {
+					batch = sh.popN(proc.Now(), depth, batch[:0])
+					if len(batch) == 0 {
 						if st.closed {
 							return
 						}
 						proc.Sleep(cfg.Poll)
 						continue
 					}
-					t0 := proc.Now()
-					var hits0 int64
-					if st.rec != nil && st.cacheStats != nil && req.op == OpGet {
-						hits0, _ = st.cacheStats()
+					// Linger for stragglers when the batch came up short —
+					// but the linger deadline runs from the OLDEST drained
+					// request's arrival, so a request is never held more
+					// than BatchLinger past its arrival before execution
+					// starts. Under backlog the oldest request has already
+					// aged past the deadline and the group commits
+					// immediately: linger adds latency only at light load,
+					// and at most BatchLinger of it.
+					if len(batch) < depth && cfg.BatchLinger > 0 && !st.closed {
+						if dl := batch[0].arrival + cfg.BatchLinger; dl > proc.Now() {
+							proc.Sleep(dl - proc.Now())
+							batch = sh.popN(proc.Now(), depth-len(batch), batch)
+						}
 					}
-					if err := execute(ctx, cfg, shard, w, req, sc); err != nil {
+					t0 := proc.Now()
+					if err := executeBatch(ctx, cfg, shard, w, batch, sc, sh, st); err != nil {
 						runErr = err
 						return
 					}
-					t1 := proc.Now()
-					sh.busy += t1 - t0
-					st.record(sh, req, t1)
-					if st.rec != nil && req.measured {
-						st.recordSpan(shard, sh.idx, w, req, t1, hits0)
-					}
+					sh.busy += proc.Now() - t0
 				}
 			})
 		}
@@ -727,16 +662,17 @@ func Serve(cfg Config) (*Result, error) {
 // opScratch is one worker's reusable key/value rendering buffers: the
 // dispatch hot path renders into these instead of allocating per op
 // (backends copy on insert, so reuse across requests is safe). Pinned at
-// zero allocations per op by TestDispatchZeroAlloc. edges is the traced
-// batch path's per-op execution-interval buffer (nil when tracing is
-// off), sized to the batch so the steady state never reallocates.
+// zero allocations per op above depth 1 by TestDispatchZeroAlloc. edges
+// is the traced group-commit path's per-op execution-interval buffer (nil
+// when tracing is off or depth is 1), sized to the batch so the steady
+// state never reallocates.
 type opScratch struct {
 	key, val []byte
 	edges    []opEdge
 }
 
-// opEdge is one batched op's execution interval, buffered so logged PUTs'
-// spans can be closed at the group's commit fence (traced runs only).
+// opEdge is one staged PUT's execution interval, buffered so its span can
+// be closed at the group's commit fence (traced runs only).
 type opEdge struct {
 	start, end sim.Time
 }
@@ -764,28 +700,6 @@ func (st *serveState) record(sh *shardState, req request, end sim.Time) {
 	st.tenants[req.tenant].Completed++
 	sh.completed++
 	sh.latency.Add(lat)
-}
-
-// recordSpan books one unbatched request's phase span: queue-wait is
-// admission to worker drain, and the execution interval is service —
-// except for a write-behind logged PUT, whose Append is one fused
-// render-persist-fence sequence, attributed wholly to persist. Callers
-// guard with st.rec != nil && req.measured, so the untraced hot path
-// never builds a span.
-func (st *serveState) recordSpan(shard *Shard, si, worker int, req request, end sim.Time, hits0 int64) {
-	span := telemetry.OpSpan{
-		Op: req.op.String(), Tenant: req.tenant, Shard: si, Worker: worker,
-		Key: req.key, CacheHit: -1,
-		Arrival: req.arrival, End: end,
-		QueueWait: req.drained - req.arrival,
-	}
-	if req.op == OpPut && shard.PutLog != nil {
-		span.Persist, span.HasPersist = end-req.drained, true
-	} else {
-		span.Service, span.HasService = end-req.drained, true
-	}
-	st.attributeCache(&span, req, hits0)
-	st.rec.RecordOp(&span)
 }
 
 // attributeCache resolves a traced GET's DRAM-tier outcome from the
@@ -843,10 +757,15 @@ func execute(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, req req
 			if err := shard.PutLog.Append(ctx, worker, sc.key, sc.val); err != nil {
 				return err
 			}
-			if shard.Repl != nil {
-				// Synchronous replication: the PUT completes only after
-				// the shipment's fence retires on the standby's DIMMs.
-				return shard.Repl.Record(ctx, worker, sc.key, sc.val)
+			if repl := shard.Repl; repl != nil {
+				// Synchronous replication, shipped as a batch of one: the
+				// PUT completes only after the shipment's fence retires
+				// on the standby's DIMMs.
+				repl.BatchBegin(worker)
+				if err := repl.BatchAdd(ctx, worker, sc.key, sc.val); err != nil {
+					return err
+				}
+				return repl.BatchCommit(ctx, worker)
 			}
 			return nil
 		}
@@ -859,16 +778,21 @@ func execute(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, req req
 	}
 }
 
-// executeBatch runs one drained group. Non-logged ops execute in arrival
-// order and complete at their own execution time; logged PUTs are staged
-// into the worker's group commit as they are reached and ALL complete at
-// the commit fence — their records are not durable (and so the requests
-// are not answerable) until the batch's single fence retires.
+// executeBatch runs one drained group, in arrival order. Above depth 1,
+// logged PUTs are staged into the worker's group commit as they are
+// reached and ALL complete at the commit fence — their records are not
+// durable (and so the requests are not answerable) until the batch's
+// single fence retires. Every other op, and at depth 1 every op, runs
+// through execute and completes at its own execution time: a depth-1
+// logged PUT persists through one Append with its own fence, which
+// writes only the record where a one-record group commit would add a
+// frame, padding and a commit record.
 func executeBatch(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, batch []request, sc *opScratch, sh *shardState, st *serveState) error {
 	proc := ctx.Proc()
 	rec := st.rec
+	group := cfg.BatchSize > 1
 	var bid int64
-	if rec != nil {
+	if rec != nil && group {
 		bid = rec.NextBatch()
 		sc.edges = sc.edges[:0]
 	}
@@ -876,10 +800,38 @@ func executeBatch(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, ba
 	// promotion swapping shard.PutLog mid-batch must not split one
 	// Begin/Add/Commit across two logs.
 	plog, repl := shard.PutLog, shard.Repl
+	// trace books a measured op's phase span: queue wait runs from
+	// arrival to drain, and batch wait (group commits only) from drain to
+	// es, the op's execution start. A staged PUT's service ends at ps, when
+	// its record was staged, and persist runs from there to the commit
+	// fence; a depth-1 logged PUT's Append is one fused
+	// render-persist-fence sequence, attributed wholly to persist.
+	trace := func(req *request, es, ps, end sim.Time, hits0 int64) {
+		span := telemetry.OpSpan{
+			Op: req.op.String(), Tenant: req.tenant, Shard: sh.idx, Worker: worker,
+			Key: req.key, Batch: bid, CacheHit: -1,
+			Arrival: req.arrival, End: end,
+			QueueWait: req.drained - req.arrival,
+		}
+		if group {
+			span.BatchWait, span.HasBatchWait = es-req.drained, true
+		}
+		switch {
+		case plog == nil || req.op != OpPut:
+			span.Service, span.HasService = end-es, true
+		case group:
+			span.Service, span.HasService = ps-es, true
+			span.Persist, span.HasPersist = end-ps, true
+		default:
+			span.Persist, span.HasPersist = end-es, true
+		}
+		st.attributeCache(&span, *req, hits0)
+		rec.RecordOp(&span)
+	}
 	logging := false
 	for i := range batch {
 		req := &batch[i]
-		if plog != nil && req.op == OpPut {
+		if group && plog != nil && req.op == OpPut {
 			if !logging {
 				plog.Begin(worker)
 				if repl != nil {
@@ -922,16 +874,7 @@ func executeBatch(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, ba
 		end := proc.Now()
 		st.record(sh, *req, end)
 		if rec != nil && req.measured {
-			span := telemetry.OpSpan{
-				Op: req.op.String(), Tenant: req.tenant, Shard: sh.idx, Worker: worker,
-				Key: req.key, Batch: bid, CacheHit: -1,
-				Arrival: req.arrival, End: end,
-				QueueWait: req.drained - req.arrival,
-				BatchWait: es - req.drained, HasBatchWait: true,
-				Service: end - es, HasService: true,
-			}
-			st.attributeCache(&span, *req, hits0)
-			rec.RecordOp(&span)
+			trace(req, es, end, end, hits0)
 		}
 	}
 	if logging {
@@ -949,23 +892,13 @@ func executeBatch(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, ba
 		end := proc.Now()
 		ei := 0
 		for i := range batch {
-			if batch[i].op == OpPut {
-				st.record(sh, batch[i], end)
+			if req := &batch[i]; req.op == OpPut {
+				st.record(sh, *req, end)
 				if rec != nil {
-					e := sc.edges[ei]
-					ei++
-					if req := &batch[i]; req.measured {
-						span := telemetry.OpSpan{
-							Op: req.op.String(), Tenant: req.tenant, Shard: sh.idx, Worker: worker,
-							Key: req.key, Batch: bid, CacheHit: -1,
-							Arrival: req.arrival, End: end,
-							QueueWait: req.drained - req.arrival,
-							BatchWait: e.start - req.drained, HasBatchWait: true,
-							Service: e.end - e.start, HasService: true,
-							Persist: end - e.end, HasPersist: true,
-						}
-						rec.RecordOp(&span)
+					if e := sc.edges[ei]; req.measured {
+						trace(req, e.start, e.end, end, 0)
 					}
+					ei++
 				}
 			}
 		}

@@ -99,47 +99,72 @@ func TestTraceParallelByteIdentical(t *testing.T) {
 
 // Turning tracing on must not move a single untraced metric: the recorder
 // only observes. Every key the untraced run emits must appear unchanged in
-// the traced run (which adds phase_* keys on top).
+// the traced run (which adds phase_* keys on top). The table pins both
+// span shapes of the one worker loop: group commits at depth 8 carry a
+// batch id and a batch_wait phase, while depth 1 carries neither and books
+// each logged PUT's fused Append wholly to persist.
 func TestTracedResultsMatchUntraced(t *testing.T) {
-	spec := harness.Spec{
-		Scenario: "service/batch/point",
-		Duration: 150 * sim.Microsecond,
-	}
-	off := runTraced(t, spec, 1)
-	spec.Trace = true
-	on := runTraced(t, spec, 1)
-	mOff, mOn := off.Trials[0].Metrics, on.Trials[0].Metrics
-	for k, v := range mOff {
-		if mOn[k] != v {
-			t.Errorf("metric %s moved under tracing: %g -> %g", k, v, mOn[k])
-		}
-	}
-	if off.Trials[0].Ops != on.Trials[0].Ops {
-		t.Errorf("ops moved under tracing: %d -> %d", off.Trials[0].Ops, on.Trials[0].Ops)
-	}
-	if !reflect.DeepEqual(off.Trials[0].Latency.Quantiles([]float64{0.5, 0.99}),
-		on.Trials[0].Latency.Quantiles([]float64{0.5, 0.99})) {
-		t.Error("latency distribution moved under tracing")
-	}
-	if on.Trials[0].Trace == nil || off.Trials[0].Trace != nil {
-		t.Error("trace presence does not track the Trace flag")
-	}
-	// The batched run's spans must carry batch attribution and a persist
-	// phase (the group-commit fence).
-	run := on.Trials[0].Trace.Runs[0]
-	if ps := run.Phase("batch_wait"); ps.Count == 0 {
-		t.Error("batched run recorded no batch_wait phase")
-	}
-	if ps := run.Phase("persist"); ps.Count == 0 {
-		t.Error("batched logged run recorded no persist phase")
-	}
-	var batched bool
-	for _, s := range run.Slowest {
-		if s.Batch > 0 {
-			batched = true
-		}
-	}
-	if !batched {
-		t.Error("no slow op carries a batch id on the batched path")
+	for _, tc := range []struct {
+		name    string
+		params  map[string]string
+		batched bool
+	}{
+		{"depth8", nil, true},
+		{"depth1", map[string]string{"batch": "1"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := harness.Spec{
+				Scenario: "service/batch/point",
+				Params:   tc.params,
+				Duration: 150 * sim.Microsecond,
+			}
+			off := runTraced(t, spec, 1)
+			spec.Trace = true
+			on := runTraced(t, spec, 1)
+			mOff, mOn := off.Trials[0].Metrics, on.Trials[0].Metrics
+			for k, v := range mOff {
+				if mOn[k] != v {
+					t.Errorf("metric %s moved under tracing: %g -> %g", k, v, mOn[k])
+				}
+			}
+			if off.Trials[0].Ops != on.Trials[0].Ops {
+				t.Errorf("ops moved under tracing: %d -> %d", off.Trials[0].Ops, on.Trials[0].Ops)
+			}
+			if !reflect.DeepEqual(off.Trials[0].Latency.Quantiles([]float64{0.5, 0.99}),
+				on.Trials[0].Latency.Quantiles([]float64{0.5, 0.99})) {
+				t.Error("latency distribution moved under tracing")
+			}
+			if on.Trials[0].Trace == nil || off.Trials[0].Trace != nil {
+				t.Error("trace presence does not track the Trace flag")
+			}
+			// Both depths journal logged PUTs, so both record a persist
+			// phase: the group-commit fence, or the Append's own fence.
+			run := on.Trials[0].Trace.Runs[0]
+			if ps := run.Phase("persist"); ps.Count == 0 {
+				t.Error("logged run recorded no persist phase")
+			}
+			var withBatch int
+			for _, s := range run.Slowest {
+				if s.Batch > 0 {
+					withBatch++
+				}
+			}
+			bw := run.Phase("batch_wait").Count
+			if tc.batched {
+				if bw == 0 {
+					t.Error("batched run recorded no batch_wait phase")
+				}
+				if withBatch == 0 {
+					t.Error("no slow op carries a batch id on the batched path")
+				}
+				return
+			}
+			if bw != 0 {
+				t.Errorf("depth-1 run recorded %d batch_wait samples, want none", bw)
+			}
+			if withBatch != 0 {
+				t.Errorf("%d slow ops carry a batch id at depth 1, want none", withBatch)
+			}
+		})
 	}
 }
