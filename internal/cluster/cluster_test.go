@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"optanestudy/internal/harness"
+	"optanestudy/internal/service"
 	"optanestudy/internal/sim"
 	"optanestudy/internal/topology"
 )
@@ -216,8 +217,8 @@ func policySweep(t *testing.T, policy string, params map[string]string, threads 
 	for k, v := range params {
 		ps[k] = v
 	}
-	c, err := RunSweep(SweepConfig{
-		Params:  ps,
+	c, err := service.RunSweep(service.SweepConfig{
+		Scenario: "cluster/point", Params: ps,
 		Threads: threads, Duration: 300 * sim.Microsecond, Seed: 52,
 		MinKops: minKops, MaxKops: maxKops, Points: 7,
 	})

@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"reflect"
+	"strings"
 	"testing"
 
 	"optanestudy/internal/harness"
@@ -86,16 +89,19 @@ func TestFailoverShapeAndRecovery(t *testing.T) {
 // contract, mirroring the batch/cache leg tests: the "none" leg of a
 // faultgrid sweep injects no fault params, so its curve must reproduce a
 // sweep that never heard of faults — same derived seeds, same numbers —
-// while the crash leg is a genuinely different recovery-under-load curve.
+// while the crash leg, run by the sweep scenario itself (which adds the
+// standby a crash fails over to), is a genuinely different
+// recovery-under-load curve.
 func TestFailoverSweepFaultFreeLegNeutral(t *testing.T) {
+	const durUS = 150
 	base := map[string]string{
 		"policy": PolicyLocalPacked, "shards": "2", "putlog": "1",
 		"get": "0.5", "put": "0.5", "scan": "0",
 	}
 	run := func(params map[string]string) service.Curve {
-		curve, err := RunSweep(SweepConfig{
-			Params:  params,
-			Threads: 4, Duration: 150 * sim.Microsecond, Seed: 58,
+		curve, err := service.RunSweep(service.SweepConfig{
+			Scenario: "cluster/point", Params: params,
+			Threads: 4, Duration: durUS * sim.Microsecond, Seed: 58,
 			MinKops: 4000, MaxKops: 16000, Points: 3,
 		})
 		if err != nil {
@@ -103,24 +109,27 @@ func TestFailoverSweepFaultFreeLegNeutral(t *testing.T) {
 		}
 		return curve
 	}
-	grid, extras, err := faultGridParams(map[string]string{
+	grid := map[string]string{
 		"faultgrid":  "none,crash",
 		"faultshard": "0", "faultat": "0.4", "detect": "2000",
-	})
+	}
+	params := maps.Clone(base)
+	maps.Copy(params, grid)
+	legs, err := service.Legs(params, 4, "faultgrid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 2 || grid[0] != "none" || grid[1] != "crash" || len(extras) != 3 {
-		t.Fatalf("fault grid parsed as %v / extras %v", grid, extras)
+	if len(legs) != 2 || len(legs[0].On) != 0 || legs[1].On["fault"] != "crash" ||
+		len(legs[1].Params) != len(base)+4 {
+		t.Fatalf("fault grid expanded to %+v", legs)
 	}
 	// The none leg must BE the uninjected params map — not a near-copy
 	// with fault keys set.
-	if leg := faultLegParams(base, "none", extras); !reflect.DeepEqual(leg, base) {
-		t.Fatalf("none leg params %v differ from the uninjected base %v", leg, base)
+	if !reflect.DeepEqual(legs[0].Params, base) {
+		t.Fatalf("none leg params %v differ from the uninjected base %v", legs[0].Params, base)
 	}
 	uninjected := run(base)
-	none := run(faultLegParams(base, "none", extras))
-	if !reflect.DeepEqual(none, uninjected) {
+	if none := run(legs[0].Params); !reflect.DeepEqual(none, uninjected) {
 		t.Fatal("fault-free leg curve differs from the uninjected sweep")
 	}
 	// The uninjected curve must not leak fault metrics (the gate contract).
@@ -132,16 +141,35 @@ func TestFailoverSweepFaultFreeLegNeutral(t *testing.T) {
 		}
 	}
 	// The crash leg recovers under every load level, with a tail far above
-	// the fault-free one.
-	crash := run(faultLegParams(base, "crash", extras))
-	for i, pt := range crash {
-		if pt.Metrics["crashes"] != 1 || pt.Metrics["recovery_ns"] <= 0 {
-			t.Errorf("crash leg at %g kops: crashes=%g recovery_ns=%g, want one recovered crash",
-				pt.OfferedKops, pt.Metrics["crashes"], pt.Metrics["recovery_ns"])
+	// the same sweep's fault-free leg. Its crashes are counted from the
+	// trace's per-point fault markers.
+	res, err := harness.Run(harness.Spec{
+		Scenario: "cluster/failover/sweep",
+		Threads:  4, Duration: durUS * sim.Microsecond, Seed: 58, Trace: true,
+		Params: map[string]string{"minkops": "4000", "maxkops": "16000", "points": "3"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Trials[0].Metrics
+	crashes := make(map[string]int)
+	for _, rn := range res.Trials[0].Trace.Runs {
+		for _, ev := range rn.Events {
+			if ev.Name == "crash" {
+				crashes[rn.Label]++
+			}
 		}
-		if pt.P99 <= uninjected[i].P99 {
-			t.Errorf("crash leg p99 %g ns at %g kops, want above the fault-free %g ns",
-				pt.P99, pt.OfferedKops, uninjected[i].P99)
+	}
+	for _, pt := range uninjected {
+		k := pt.OfferedKops
+		if n, rec := crashes[fmt.Sprintf("offered=%g@fcrash", k)], m[fmt.Sprintf("recovery_ns@%g@fcrash", k)]; n != 1 || rec <= 0 {
+			t.Errorf("crash leg at %g kops: crashes=%d recovery_ns=%g, want one recovered crash", k, n, rec)
+		}
+		if n := crashes[fmt.Sprintf("offered=%g@fnone", k)]; n != 0 {
+			t.Errorf("fault-free leg at %g kops recorded %d crashes", k, n)
+		}
+		if p99, free := m[fmt.Sprintf("p99@%g@fcrash", k)], m[fmt.Sprintf("p99@%g@fnone", k)]; p99 <= free {
+			t.Errorf("crash leg p99 %g ns at %g kops, want above the fault-free %g ns", p99, k, free)
 		}
 	}
 }
@@ -196,5 +224,40 @@ func TestFailoverParallelByteIdentical(t *testing.T) {
 	}
 	if !json.Valid(serial) {
 		t.Fatal("output is not valid JSON")
+	}
+}
+
+// TestClusterSweepCompanionsAndCache pins three point-side checks: a fault
+// companion given without faultgrid reaches the point, whose validation
+// applies to it (faultat=1.5 is out of range), a cluster sweep does not
+// expand threadgrid, so cluster/point rejects it as unknown, and a
+// negative tier size is rejected at cluster/point.
+func TestClusterSweepCompanionsAndCache(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		params   map[string]string
+		want     string
+	}{
+		{
+			"cluster/sweep-local-packed",
+			map[string]string{
+				"fault": "crash", "replicate": "1", "putlog": "1",
+				"faultat": "1.5", "points": "2",
+			},
+			"faultat",
+		},
+		{
+			"cluster/sweep-local-packed",
+			map[string]string{"threadgrid": "2,4", "points": "2"},
+			"unknown params: [threadgrid]",
+		},
+		{"cluster/point", map[string]string{"cache": "-5"}, "cache must be >= 0"},
+	} {
+		_, err := harness.Run(harness.Spec{
+			Scenario: tc.scenario, Duration: 20 * sim.Microsecond, Params: tc.params,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: err %v, want one naming %q", tc.scenario, tc.params, err, tc.want)
+		}
 	}
 }

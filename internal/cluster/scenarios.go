@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,6 +266,9 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 		return harness.Trial{}, fmt.Errorf("cluster: tier=memmode is a single-node axis (service/cache/memmode)")
 	default:
 		return harness.Trial{}, fmt.Errorf("cluster: unknown tier %q (want hot)", tierKind)
+	}
+	if cacheBytes < 0 {
+		return harness.Trial{}, fmt.Errorf("cluster: cache must be >= 0, got %d", cacheBytes)
 	}
 	if llcKB < 0 {
 		return harness.Trial{}, fmt.Errorf("cluster: llckb must be >= 0, got %d", llcKB)
@@ -587,39 +592,18 @@ func dropFrac(dropped, offered int64) float64 {
 	return float64(dropped) / float64(offered)
 }
 
-// runClusterSweep fans a load grid out over nested cluster/point trials,
-// once per policy in the policygrid (default: the single policy param).
-// Grid params are consumed here; everything else passes through to the
-// point scenario verbatim, whose reader catches typos.
+// runClusterSweep fans a load grid out over cluster/point trials, one
+// curve per sweep leg (see service.Legs): placement policies, group-commit
+// depths, tier sizes, fault kinds. Grid params are consumed here;
+// everything else, threadgrid included, passes through to the point
+// scenario verbatim, whose reader catches typos.
 func runClusterSweep(spec harness.Spec) (harness.Trial, error) {
-	rest := make(map[string]string, len(spec.Params))
-	for k, v := range spec.Params {
-		rest[k] = v
-	}
+	rest := maps.Clone(spec.Params)
 	minKops, maxKops, pointsF, err := service.GridParams(rest, 2000, 34000, 7)
 	if err != nil {
 		return harness.Trial{}, err
 	}
-	policies := []string{rest["policy"]}
-	if policies[0] == "" {
-		policies[0] = PolicyLocalPacked
-	}
-	if pg, ok := rest["policygrid"]; ok {
-		delete(rest, "policygrid")
-		policies = policies[:0]
-		for _, s := range strings.Split(pg, ",") {
-			policies = append(policies, strings.TrimSpace(s))
-		}
-	}
-	batchGrid, linger, err := service.BatchGridParams(rest)
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	cacheGrid, cacheExtras, err := service.CacheGridParams(rest)
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	faultGrid, faultExtras, err := faultGridParams(rest)
+	legs, err := service.Legs(rest, spec.Threads, "policygrid", "batchgrid", "cachegrid", "faultgrid")
 	if err != nil {
 		return harness.Trial{}, err
 	}
@@ -627,154 +611,68 @@ func runClusterSweep(spec harness.Spec) (harness.Trial, error) {
 	tr := harness.Trial{Metrics: make(map[string]float64)}
 	var trace *telemetry.Trace
 	var text strings.Builder
-	for _, policy := range policies {
-		for _, batch := range batchGrid {
-			for _, cache := range cacheGrid {
-				for _, flt := range faultGrid {
-					leg := faultLegParams(service.CacheLegParams(service.BatchLegParams(rest, batch, linger), cache, cacheExtras), flt, faultExtras)
-					params := make(map[string]string, len(leg)+1)
-					for k, v := range leg {
-						params[k] = v
-					}
-					params["policy"] = policy
-					curve, err := RunSweep(SweepConfig{
-						Params:  params,
-						Threads: spec.Threads, Duration: spec.Duration, Warmup: spec.Warmup,
-						Seed:    spec.Seed,
-						MinKops: minKops, MaxKops: maxKops, Points: int(pointsF),
-						Parallel: spec.Parallel,
-						Trace:    spec.Trace,
-					})
-					if err != nil {
-						return harness.Trial{}, err
-					}
-					suffix := ""
-					if len(policies) > 1 {
-						suffix = "@" + policy
-					}
-					if len(batchGrid) > 1 {
-						suffix += fmt.Sprintf("@b%d", batch)
-					}
-					if len(cacheGrid) > 1 {
-						suffix += fmt.Sprintf("@c%d", cache)
-					}
-					if len(faultGrid) > 1 {
-						suffix += "@f" + flt
-					}
-					trace = service.MergeCurveTrace(trace, curve, suffix)
-					service.EmitCurve(&tr, curve, suffix)
-					// Fence amortization at the deepest grid point, present on the
-					// group-commit legs only.
-					if f, ok := curve[len(curve)-1].Metrics["pmem_fence_per_op"]; ok {
-						tr.Metrics["fence_per_op_deep"+suffix] = f
-					}
-					// Tier hit rate at the deepest grid point, present on the
-					// cached legs only (same gating as the point metrics).
-					if f, ok := curve[len(curve)-1].Metrics["cache_hit_rate"]; ok {
-						tr.Metrics["cache_hit_rate_deep"+suffix] = f
-					}
-					// Recovery-under-load curve: per-point failover readouts,
-					// present only on the fault-injected legs (each point crashes
-					// and recovers under its own offered load).
-					for _, key := range []string{"recovery_ns", "promote_ns", "failover_p99_ns", "lost_recs"} {
-						for _, pt := range curve {
-							if f, ok := pt.Metrics[key]; ok {
-								tr.Metrics[fmt.Sprintf("%s@%g%s", key, pt.OfferedKops, suffix)] = f
-							}
-						}
-					}
-					// Deep-overload shed accounting: who gets dropped at the top of
-					// the grid (per-tenant keys appear only once the point sheds).
-					deep := curve[len(curve)-1].Metrics
-					var shedKeys []string
-					for k := range deep {
-						if strings.HasSuffix(k, "_shed_ops") {
-							shedKeys = append(shedKeys, k)
-						}
-					}
-					sort.Strings(shedKeys)
-					for _, k := range shedKeys {
-						tr.Metrics[k+suffix] = deep[k]
-					}
-					title := fmt.Sprintf("cluster sweep: policy %s, %d shards, %s workers/shard",
-						policy, atoiOr(rest["shards"], 2), workersLabel(spec.Threads))
-					if len(batchGrid) > 1 {
-						title += fmt.Sprintf(", batch %d", batch)
-					}
-					if len(cacheGrid) > 1 {
-						title += fmt.Sprintf(", cache %d B", cache)
-					}
-					if len(faultGrid) > 1 {
-						title += ", fault " + flt
-					}
-					text.WriteString(curve.TSV(title))
-					text.WriteByte('\n')
+	for _, leg := range legs {
+		// Every injected fault but a stall fails a primary over, which needs
+		// a standby to promote: those legs run the replicated topology.
+		if f, ok := leg.On["fault"]; ok && f != "stall" {
+			leg.Params["replicate"] = "1"
+		}
+		curve, err := service.RunSweep(service.SweepConfig{
+			Scenario: "cluster/point", Params: leg.Params,
+			Threads: spec.Threads, Duration: spec.Duration, Warmup: spec.Warmup,
+			Seed:    spec.Seed,
+			MinKops: minKops, MaxKops: maxKops, Points: int(pointsF),
+			Parallel: spec.Parallel,
+			Trace:    spec.Trace,
+		})
+		if err != nil {
+			return harness.Trial{}, err
+		}
+		suffix := leg.Suffix
+		trace = service.MergeCurveTrace(trace, curve, suffix)
+		service.EmitCurve(&tr, curve, suffix)
+		// Fence amortization at the deepest grid point, present on the
+		// group-commit legs only.
+		if f, ok := curve[len(curve)-1].Metrics["pmem_fence_per_op"]; ok {
+			tr.Metrics["fence_per_op_deep"+suffix] = f
+		}
+		// Tier hit rate at the deepest grid point, present on the cached
+		// legs only (same gating as the point metrics).
+		if f, ok := curve[len(curve)-1].Metrics["cache_hit_rate"]; ok {
+			tr.Metrics["cache_hit_rate_deep"+suffix] = f
+		}
+		// Recovery-under-load curve: per-point failover readouts, present
+		// only on the fault-injected legs (each point crashes and recovers
+		// under its own offered load).
+		for _, key := range []string{"recovery_ns", "promote_ns", "failover_p99_ns", "lost_recs"} {
+			for _, pt := range curve {
+				if f, ok := pt.Metrics[key]; ok {
+					tr.Metrics[fmt.Sprintf("%s@%g%s", key, pt.OfferedKops, suffix)] = f
 				}
 			}
 		}
+		// Deep-overload shed accounting: who gets dropped at the top of the
+		// grid (per-tenant keys appear only once the point sheds).
+		deep := curve[len(curve)-1].Metrics
+		var shedKeys []string
+		for k := range deep {
+			if strings.HasSuffix(k, "_shed_ops") {
+				shedKeys = append(shedKeys, k)
+			}
+		}
+		sort.Strings(shedKeys)
+		for _, k := range shedKeys {
+			tr.Metrics[k+suffix] = deep[k]
+		}
+		title := fmt.Sprintf("cluster sweep: policy %s, %d shards, %s workers/shard%s",
+			cmp.Or(leg.Params["policy"], PolicyLocalPacked), atoiOr(rest["shards"], 2),
+			workersLabel(spec.Threads), leg.Title)
+		text.WriteString(curve.TSV(title))
+		text.WriteByte('\n')
 	}
 	tr.Text = strings.TrimRight(text.String(), "\n")
 	tr.Trace = trace
 	return tr, nil
-}
-
-// faultGridParams consumes the failover sweep params: "faultgrid" (a
-// comma-separated list of fault kinds; "none" is the fault-free leg, and
-// the default grid is just that) plus the companions that reach only the
-// injected legs — faultshard/faultat/faultdur/detect/faultsocket and the
-// churn knobs. Mirrors BatchGridParams/CacheGridParams: the fault-free
-// leg's point specs carry no fault keys at all, so its curve reproduces
-// an uninjected sweep's byte-identically.
-func faultGridParams(params map[string]string) (grid []string, extras map[string]string, err error) {
-	grid = []string{"none"}
-	if fg, ok := params["faultgrid"]; ok {
-		delete(params, "faultgrid")
-		grid = grid[:0]
-		for _, s := range strings.Split(fg, ",") {
-			name := strings.TrimSpace(s)
-			switch name {
-			case "none", "crash", "stall", "socket", "churn":
-			default:
-				return nil, nil, fmt.Errorf("param faultgrid=%q: want comma-separated kinds from none, crash, stall, socket, churn", fg)
-			}
-			grid = append(grid, name)
-		}
-	}
-	for _, key := range []string{
-		"faultshard", "faultat", "faultdur", "detect", "faultsocket",
-		"churnperiod", "churndown", "churnjitter",
-	} {
-		if v, ok := params[key]; ok {
-			delete(params, key)
-			if extras == nil {
-				extras = make(map[string]string)
-			}
-			extras[key] = v
-		}
-	}
-	return grid, extras, nil
-}
-
-// faultLegParams renders one fault-grid leg's point params: "none" passes
-// base through untouched (no fault keys — the spec must stay byte-identical
-// to an uninjected sweep's), injected legs copy base and add the fault kind,
-// its companions and — for kinds that fail over — the replicated topology.
-func faultLegParams(base map[string]string, name string, extras map[string]string) map[string]string {
-	if name == "none" {
-		return base
-	}
-	params := make(map[string]string, len(base)+2+len(extras))
-	for k, v := range base {
-		params[k] = v
-	}
-	params["fault"] = name
-	if name != "stall" {
-		params["replicate"] = "1"
-	}
-	for k, v := range extras {
-		params[k] = v
-	}
-	return params
 }
 
 func atoiOr(s string, def int) int {
@@ -789,35 +687,4 @@ func workersLabel(threads int) string {
 		return "default"
 	}
 	return strconv.Itoa(threads)
-}
-
-// SweepConfig configures a per-policy cluster load sweep (a thin wrapper
-// over service.RunSweep pointed at cluster/point).
-type SweepConfig struct {
-	// Params are cluster/point params (policy, shards, mix, ...).
-	Params map[string]string
-	// Threads is the requested per-shard worker pool at every point.
-	Threads          int
-	Duration         sim.Time
-	Warmup           sim.Time
-	Seed             uint64
-	MinKops, MaxKops float64
-	Points           int
-	Parallel         int
-	// Trace asks every point trial to record spans and a timeline
-	// (non-identity, like Parallel; see service.SweepConfig.Trace).
-	Trace bool
-}
-
-// RunSweep measures one policy's throughput-latency curve.
-func RunSweep(sc SweepConfig) (service.Curve, error) {
-	return service.RunSweep(service.SweepConfig{
-		Scenario: "cluster/point",
-		Params:   sc.Params,
-		Threads:  sc.Threads, Duration: sc.Duration, Warmup: sc.Warmup,
-		Seed:    sc.Seed,
-		MinKops: sc.MinKops, MaxKops: sc.MaxKops, Points: sc.Points,
-		Parallel: sc.Parallel,
-		Trace:    sc.Trace,
-	})
 }

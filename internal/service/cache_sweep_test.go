@@ -2,8 +2,12 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"maps"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"optanestudy/internal/harness"
@@ -12,19 +16,19 @@ import (
 
 // TestCacheSweepShape pins the hot-tier claims the cache sweep axis exists
 // to demonstrate, mirroring the service/cache/sweep preset: the cache-0 leg
-// is exactly the uncached curve (the CacheLegParams identity), the cached
-// legs move the saturation knee strictly right on a read-heavy Zipf mix,
-// the steady-state hit rate grows with tier size, and mid-load p50 drops
-// when repeat GETs are served from DRAM instead of the PM media.
+// is exactly the uncached curve (Legs' off-value rule), the cached legs
+// move the saturation knee strictly right on a read-heavy Zipf mix, the
+// steady-state hit rate grows with tier size, and mid-load p50 drops when
+// repeat GETs are served from DRAM instead of the PM media.
 func TestCacheSweepShape(t *testing.T) {
 	base := map[string]string{
 		"backend": "pmemkv", "mix": "zipf",
 		"keys": "2000", "valsize": "128", "llckb": "16",
 		"get": "0.95", "put": "0.05", "scan": "0",
 	}
-	run := func(params map[string]string) Curve {
+	run := func(threads int, params map[string]string) Curve {
 		curve, err := RunSweep(SweepConfig{
-			Backend: "pmemkv", Params: params, Threads: 8,
+			Backend: "pmemkv", Params: params, Threads: threads,
 			Duration: 300 * sim.Microsecond, Seed: 42,
 			MinKops: 4000, MaxKops: 28000, Points: 7,
 		})
@@ -33,25 +37,28 @@ func TestCacheSweepShape(t *testing.T) {
 		}
 		return curve
 	}
-	grid, extras, err := CacheGridParams(map[string]string{"cachegrid": "0,65536,524288"})
+	params := maps.Clone(base)
+	params["cachegrid"] = "0,65536,524288"
+	legs, err := Legs(params, 8, "cachegrid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 3 || grid[0] != 0 || len(extras) != 0 {
-		t.Fatalf("cache grid parsed as %v / extras %v", grid, extras)
+	if len(legs) != 3 || len(legs[0].On) != 0 || len(legs[1].Params) != len(base)+1 {
+		t.Fatalf("cache grid expanded to %+v", legs)
 	}
-	curves := make(map[int64]Curve, len(grid))
-	for _, cache := range grid {
-		curves[cache] = run(CacheLegParams(base, cache, extras))
+	curves := make(map[int64]Curve, len(legs))
+	for _, leg := range legs {
+		cache, _ := strconv.ParseInt(cmp.Or(leg.On["cache"], "0"), 10, 64)
+		curves[cache] = run(leg.Threads, leg.Params)
 	}
 	c0, cSmall, cBig := curves[0], curves[65536], curves[524288]
 
 	// The cache-0 leg must BE the uncached curve — same params, same derived
 	// seeds, same numbers — not a near-copy with cache keys set to zero.
-	if leg := CacheLegParams(base, 0, extras); !reflect.DeepEqual(leg, base) {
-		t.Fatalf("cache-0 leg params %v differ from the uncached base %v", leg, base)
+	if !reflect.DeepEqual(legs[0].Params, base) {
+		t.Fatalf("cache-0 leg params %v differ from the uncached base %v", legs[0].Params, base)
 	}
-	if uncached := run(base); !reflect.DeepEqual(c0, uncached) {
+	if uncached := run(8, base); !reflect.DeepEqual(c0, uncached) {
 		t.Fatal("cache-0 leg curve differs from the uncached sweep")
 	}
 
@@ -126,5 +133,24 @@ func TestCacheParallelByteIdentical(t *testing.T) {
 	}
 	if !json.Valid(serial) {
 		t.Fatal("output is not valid JSON")
+	}
+}
+
+// TestNegativeCacheRejected pins that a negative tier size is an error at
+// the point, whether set directly or injected by a cachegrid leg.
+func TestNegativeCacheRejected(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		params   map[string]string
+	}{
+		{"service/cache/point", map[string]string{"cache": "-5"}},
+		{"service/cache/sweep", map[string]string{"cachegrid": "-5,0", "points": "2"}},
+	} {
+		_, err := harness.Run(harness.Spec{
+			Scenario: tc.scenario, Duration: 20 * sim.Microsecond, Params: tc.params,
+		})
+		if err == nil || !strings.Contains(err.Error(), "cache must be >= 0") {
+			t.Errorf("%s %v: err %v, want the point to reject a negative cache", tc.scenario, tc.params, err)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
+	"maps"
 	"strings"
 
 	"optanestudy/internal/devstat"
@@ -265,6 +266,9 @@ func runPoint(spec harness.Spec) (harness.Trial, error) {
 	default:
 		return harness.Trial{}, fmt.Errorf("service: unknown tier %q (want hot or memmode)", tierKind)
 	}
+	if cacheBytes < 0 {
+		return harness.Trial{}, fmt.Errorf("service: cache must be >= 0, got %d", cacheBytes)
+	}
 	if llcKB < 0 {
 		return harness.Trial{}, fmt.Errorf("service: llckb must be >= 0, got %d", llcKB)
 	}
@@ -498,99 +502,50 @@ func dropFrac(dropped, offered int64) float64 {
 	return float64(dropped) / float64(offered)
 }
 
-// runSweepScenario fans a load grid (and, with threadgrid / batchgrid
-// params, a worker-count or group-commit-depth grid) out over nested
-// point trials. Grid params are consumed here; everything else passes
-// through to the point scenario verbatim, whose reader catches typos.
-//
-// A batchgrid leg with depth 1 injects NO batch params at all, so its
-// point specs — and therefore their derived seeds and results — are
-// byte-identical to the same sweep without a batch axis: the unbatched
-// curve is the baseline, not a near-copy of it. batchlinger (ns) rides
-// the same rule: it reaches only the depth>1 legs.
+// runSweepScenario fans a load grid out over point trials, one curve per
+// sweep leg (see Legs): worker counts, group-commit depths, tier sizes.
+// Grid params are consumed here; everything else, the policy and fault
+// grids included, passes through to the point scenario verbatim, whose
+// reader catches typos.
 func runSweepScenario(spec harness.Spec) (harness.Trial, error) {
-	rest := make(map[string]string, len(spec.Params))
-	for k, v := range spec.Params {
-		rest[k] = v
-	}
+	rest := maps.Clone(spec.Params)
 	minKops, maxKops, pointsF, err := GridParams(rest, 1000, 16000, 6)
 	if err != nil {
 		return harness.Trial{}, err
 	}
-	backend := rest["backend"]
-	if backend == "" {
-		backend = "pmemkv"
-	}
-	threadGrid := []int{spec.Threads}
-	if tg, ok := rest["threadgrid"]; ok {
-		delete(rest, "threadgrid")
-		threadGrid = threadGrid[:0]
-		for _, s := range strings.Split(tg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return harness.Trial{}, fmt.Errorf("param threadgrid=%q: want comma-separated positive ints", tg)
-			}
-			threadGrid = append(threadGrid, n)
-		}
-	}
-	batchGrid, linger, err := BatchGridParams(rest)
+	legs, err := Legs(rest, spec.Threads, "threadgrid", "batchgrid", "cachegrid")
 	if err != nil {
 		return harness.Trial{}, err
 	}
-	cacheGrid, cacheExtras, err := CacheGridParams(rest)
-	if err != nil {
-		return harness.Trial{}, err
-	}
+	backend := cmp.Or(rest["backend"], "pmemkv")
 
 	tr := harness.Trial{Metrics: make(map[string]float64)}
 	var trace *telemetry.Trace
 	var text strings.Builder
-	for _, threads := range threadGrid {
-		for _, batch := range batchGrid {
-			for _, cache := range cacheGrid {
-				params := CacheLegParams(BatchLegParams(rest, batch, linger), cache, cacheExtras)
-				curve, err := RunSweep(SweepConfig{
-					Backend: backend, Params: params,
-					Threads: threads, Duration: spec.Duration, Warmup: spec.Warmup,
-					Seed:    spec.Seed,
-					MinKops: minKops, MaxKops: maxKops, Points: int(pointsF),
-					Parallel: spec.Parallel,
-					Trace:    spec.Trace,
-				})
-				if err != nil {
-					return harness.Trial{}, err
-				}
-				suffix := ""
-				if len(threadGrid) > 1 {
-					suffix += fmt.Sprintf("@t%d", threads)
-				}
-				if len(batchGrid) > 1 {
-					suffix += fmt.Sprintf("@b%d", batch)
-				}
-				if len(cacheGrid) > 1 {
-					suffix += fmt.Sprintf("@c%d", cache)
-				}
-				trace = MergeCurveTrace(trace, curve, suffix)
-				EmitCurve(&tr, curve, suffix)
-				// Cached legs add their curve-level cache readout (hit rate at
-				// the deepest load, where the tier is warmest, plus the knee's
-				// p50); the cache-less legs emit nothing extra, keeping them
-				// byte-identical to a sweep without the cache axis.
-				if cache > 0 {
-					tr.Metrics["cache_hit_rate"+suffix] = curve[len(curve)-1].Metrics["cache_hit_rate"]
-					tr.Metrics["p50_knee_ns"+suffix] = curve[curve.KneeIndex()].P50
-				}
-				title := fmt.Sprintf("service sweep: %s, %d workers", backend, threads)
-				if len(batchGrid) > 1 {
-					title += fmt.Sprintf(", batch %d", batch)
-				}
-				if len(cacheGrid) > 1 {
-					title += fmt.Sprintf(", cache %d B", cache)
-				}
-				text.WriteString(curve.TSV(title))
-				text.WriteByte('\n')
-			}
+	for _, leg := range legs {
+		curve, err := RunSweep(SweepConfig{
+			Backend: backend, Params: leg.Params,
+			Threads: leg.Threads, Duration: spec.Duration, Warmup: spec.Warmup,
+			Seed:    spec.Seed,
+			MinKops: minKops, MaxKops: maxKops, Points: int(pointsF),
+			Parallel: spec.Parallel,
+			Trace:    spec.Trace,
+		})
+		if err != nil {
+			return harness.Trial{}, err
 		}
+		trace = MergeCurveTrace(trace, curve, leg.Suffix)
+		EmitCurve(&tr, curve, leg.Suffix)
+		// Cached legs add their curve-level cache readout (hit rate at the
+		// deepest load, where the tier is warmest, plus the knee's p50);
+		// uncached legs emit nothing extra, keeping them byte-identical to
+		// a sweep without the cache axis.
+		if _, ok := leg.On["cache"]; ok {
+			tr.Metrics["cache_hit_rate"+leg.Suffix] = curve[len(curve)-1].Metrics["cache_hit_rate"]
+			tr.Metrics["p50_knee_ns"+leg.Suffix] = curve[curve.KneeIndex()].P50
+		}
+		text.WriteString(curve.TSV(fmt.Sprintf("service sweep: %s, %d workers%s", backend, leg.Threads, leg.Title)))
+		text.WriteByte('\n')
 	}
 	tr.Text = strings.TrimRight(text.String(), "\n")
 	tr.Trace = trace
@@ -616,103 +571,4 @@ func MergeCurveTrace(trace *telemetry.Trace, curve Curve, suffix string) *teleme
 		}
 	}
 	return trace
-}
-
-// BatchGridParams consumes the group-commit sweep params: "batchgrid" (a
-// comma-separated list of batch depths; default just depth 1) and
-// "batchlinger" (the linger bound in ns for the depth>1 legs). Shared by
-// the service and cluster sweep scenarios.
-func BatchGridParams(params map[string]string) (grid []int, linger string, err error) {
-	grid = []int{1}
-	if bg, ok := params["batchgrid"]; ok {
-		delete(params, "batchgrid")
-		grid = grid[:0]
-		for _, s := range strings.Split(bg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return nil, "", fmt.Errorf("param batchgrid=%q: want comma-separated positive ints", bg)
-			}
-			grid = append(grid, n)
-		}
-	}
-	if lg, ok := params["batchlinger"]; ok {
-		delete(params, "batchlinger")
-		linger = lg
-	}
-	return grid, linger, nil
-}
-
-// BatchLegParams renders one batch-grid leg's point params: depth 1
-// passes base through untouched (no batch keys — the spec must stay
-// byte-identical to an unbatched sweep's), deeper legs copy base and add
-// batch/linger.
-func BatchLegParams(base map[string]string, batch int, linger string) map[string]string {
-	if batch <= 1 {
-		return base
-	}
-	params := make(map[string]string, len(base)+2)
-	for k, v := range base {
-		params[k] = v
-	}
-	params["batch"] = strconv.Itoa(batch)
-	if linger != "" {
-		params["linger"] = linger
-	}
-	return params
-}
-
-// CacheGridParams consumes the hot-tier sweep params: "cachegrid" (a
-// comma-separated list of DRAM tier sizes in bytes; 0 is the uncached
-// leg, and the default grid is just that) plus the companions that reach
-// only the cached legs — "cachequota", "cacheadmit", "cacheevict" and
-// "cachetier" map onto the point scenario's quota/admit/evict/tier
-// params. Shared by the service and cluster sweep scenarios.
-func CacheGridParams(params map[string]string) (grid []int64, extras map[string]string, err error) {
-	grid = []int64{0}
-	if cg, ok := params["cachegrid"]; ok {
-		delete(params, "cachegrid")
-		grid = grid[:0]
-		for _, s := range strings.Split(cg, ",") {
-			n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil || n < 0 {
-				return nil, nil, fmt.Errorf("param cachegrid=%q: want comma-separated byte sizes >= 0", cg)
-			}
-			grid = append(grid, n)
-		}
-	}
-	for param, key := range map[string]string{
-		"cachequota": "quota",
-		"cacheadmit": "admit",
-		"cacheevict": "evict",
-		"cachetier":  "tier",
-	} {
-		if v, ok := params[param]; ok {
-			delete(params, param)
-			if extras == nil {
-				extras = make(map[string]string)
-			}
-			extras[key] = v
-		}
-	}
-	return grid, extras, nil
-}
-
-// CacheLegParams renders one cache-grid leg's point params: size 0 passes
-// base through untouched (no cache keys — the uncached leg's specs, and
-// so their derived seeds and results, stay byte-identical to a sweep with
-// no cache axis), larger sizes copy base and add cache plus the
-// companions.
-func CacheLegParams(base map[string]string, cache int64, extras map[string]string) map[string]string {
-	if cache <= 0 {
-		return base
-	}
-	params := make(map[string]string, len(base)+1+len(extras))
-	for k, v := range base {
-		params[k] = v
-	}
-	params["cache"] = strconv.FormatInt(cache, 10)
-	for k, v := range extras {
-		params[k] = v
-	}
-	return params
 }

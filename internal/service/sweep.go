@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -166,6 +168,149 @@ func GridParams(params map[string]string, defMin, defMax, defPoints float64) (mi
 		return 0, 0, 0, err
 	}
 	return minKops, maxKops, points, nil
+}
+
+// Leg is one cell of a sweep's axis cross product: the worker count and
+// point params one curve runs with, and how that curve is labelled.
+type Leg struct {
+	// Threads is the leg's worker count: its threadgrid value, or the
+	// threads Legs was given.
+	Threads int
+	// Params are the leg's point-scenario params: the sweep's base params
+	// plus whatever the leg's axis values inject. No two legs share a map.
+	Params map[string]string
+	// On maps the point key of every axis the leg injects to its value;
+	// it is empty when every axis sits at its off value.
+	On map[string]string
+	// Suffix tags the leg's metric keys ("@t16@b8"); only axes with more
+	// than one value contribute.
+	Suffix string
+	// Title is the tail of the leg's TSV title (", batch 8, cache 65536 B").
+	Title string
+}
+
+// sweepAxis is one row of the sweep-axis table.
+type sweepAxis struct {
+	grid  string // sweep param holding the comma-separated axis values
+	key   string // point param a value sets; "" for the worker count
+	tag   string // metric-suffix tag, followed by the value
+	title string // TSV title tail format; "" when the runner's title prints the axis
+	off   string // value that injects nothing; "" when every value injects
+	// numeric axes take integers, written back in strconv form so that
+	// "08" is the leg "8" and "01" the off value "1".
+	numeric bool
+	// companions map sweep params to the point params they set on the legs
+	// where the axis is on. They are consumed only with grid itself.
+	companions map[string]string
+}
+
+// sweepAxes lists the sweep axes outermost first: Legs expands their cross
+// product, and composes metric suffixes and titles, in this order. The
+// grid and companion names are frozen: a sweep's params are hashed into
+// its derived seed, which every point inherits, so renaming one would
+// move the results of every sweep that sets it.
+var sweepAxes = []sweepAxis{
+	{grid: "threadgrid", tag: "@t", numeric: true},
+	{grid: "policygrid", key: "policy", tag: "@"},
+	{grid: "batchgrid", key: "batch", tag: "@b", title: ", batch %s", off: "1", numeric: true,
+		companions: map[string]string{"batchlinger": "linger"}},
+	{grid: "cachegrid", key: "cache", tag: "@c", title: ", cache %s B", off: "0", numeric: true,
+		companions: map[string]string{
+			"cachequota": "quota", "cacheadmit": "admit",
+			"cacheevict": "evict", "cachetier": "tier",
+		}},
+	{grid: "faultgrid", key: "fault", tag: "@f", title: ", fault %s", off: "none",
+		companions: map[string]string{
+			"faultshard": "faultshard", "faultat": "faultat", "faultdur": "faultdur",
+			"detect": "detect", "faultsocket": "faultsocket",
+			"churnperiod": "churnperiod", "churndown": "churndown", "churnjitter": "churnjitter",
+		}},
+}
+
+// Legs consumes the grids named in grids that are present in params,
+// together with each consumed grid's companions, and returns the cross
+// product of their values in sweepAxes order; with no grid present it
+// returns one leg of threads workers over params. A grid the caller does
+// not name stays in params with its companions, so the point's reader
+// rejects it as unknown. A leg at an axis's off value injects neither the
+// axis key nor its companions, so its point specs, and the seeds the
+// harness derives from them, are exactly those of a sweep without that
+// axis. Values are checked only where the point cannot check them: a
+// numeric axis takes integers, the worker count must be positive, and a
+// grid may neither hold an empty value nor repeat one (two legs would
+// share a suffix and overwrite each other's metrics).
+func Legs(params map[string]string, threads int, grids ...string) ([]Leg, error) {
+	type axisValues struct {
+		sweepAxis
+		vals   []string          // the grid's values, in order
+		extras map[string]string // companion values, keyed by point param
+	}
+	// Consume every grid and companion before expanding, so no leg's
+	// params copy can carry another axis's grid keys.
+	var present []axisValues
+	for _, a := range sweepAxes {
+		raw, ok := params[a.grid]
+		if !ok || !slices.Contains(grids, a.grid) {
+			continue
+		}
+		delete(params, a.grid)
+		av := axisValues{sweepAxis: a, extras: make(map[string]string)}
+		for _, s := range strings.Split(raw, ",") {
+			v := strings.TrimSpace(s)
+			if v == "" {
+				return nil, fmt.Errorf("param %s=%q: empty value", a.grid, raw)
+			}
+			if a.numeric {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					return nil, fmt.Errorf("param %s=%q: want comma-separated ints", a.grid, raw)
+				}
+				if a.key == "" && n < 1 {
+					return nil, fmt.Errorf("param %s=%q: want comma-separated positive ints", a.grid, raw)
+				}
+				v = strconv.Itoa(n)
+			}
+			if slices.Contains(av.vals, v) {
+				return nil, fmt.Errorf("param %s=%q: duplicate value %q", a.grid, raw, v)
+			}
+			av.vals = append(av.vals, v)
+		}
+		for param, key := range a.companions {
+			if v, ok := params[param]; ok {
+				delete(params, param)
+				av.extras[key] = v
+			}
+		}
+		present = append(present, av)
+	}
+	legs := []Leg{{Threads: threads, Params: params}}
+	for _, a := range present {
+		next := make([]Leg, 0, len(legs)*len(a.vals))
+		for _, outer := range legs {
+			for _, v := range a.vals {
+				leg := outer
+				leg.Params = maps.Clone(outer.Params)
+				if len(a.vals) > 1 {
+					leg.Suffix += a.tag + v
+					if a.title != "" {
+						leg.Title += fmt.Sprintf(a.title, v)
+					}
+				}
+				switch {
+				case a.key == "":
+					leg.Threads, _ = strconv.Atoi(v)
+				case v != a.off:
+					leg.Params[a.key] = v
+					maps.Copy(leg.Params, a.extras)
+					leg.On = map[string]string{a.key: v}
+					maps.Copy(leg.On, outer.On)
+				}
+				next = append(next, leg)
+			}
+		}
+		legs = next
+	}
+	return legs, nil
 }
 
 // EmitCurve folds one measured curve into a trial: the knee and saturation

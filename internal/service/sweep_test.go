@@ -2,8 +2,13 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"maps"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"optanestudy/internal/harness"
@@ -150,9 +155,9 @@ func TestContentionShape(t *testing.T) {
 
 // TestBatchSweepShape pins the group-commit claims the batch sweep axis
 // exists to demonstrate, mirroring the service/batch/sweep preset: the
-// depth-1 leg is exactly the unbatched contention curve (the BatchLegParams
-// identity), deeper legs shift the saturation knee to a higher offered
-// load, the deepest grid point runs well under one fence per op, and the
+// depth-1 leg is exactly the unbatched contention curve (Legs' off-value
+// rule), deeper legs shift the saturation knee to a higher offered load,
+// the deepest grid point runs well under one fence per op, and the
 // light-load p50 penalty stays within the linger bound.
 func TestBatchSweepShape(t *testing.T) {
 	base := map[string]string{
@@ -160,9 +165,9 @@ func TestBatchSweepShape(t *testing.T) {
 		"putlog": "1", "keysize": "8", "valsize": "112",
 		"get": "0.3", "put": "0.7", "scan": "0",
 	}
-	run := func(params map[string]string) Curve {
+	run := func(threads int, params map[string]string) Curve {
 		curve, err := RunSweep(SweepConfig{
-			Backend: "pmemkv", Params: params, Threads: 4,
+			Backend: "pmemkv", Params: params, Threads: threads,
 			Duration: 300 * sim.Microsecond, Seed: 35,
 			MinKops: 3000, MaxKops: 21000, Points: 7,
 		})
@@ -171,27 +176,29 @@ func TestBatchSweepShape(t *testing.T) {
 		}
 		return curve
 	}
-	grid, linger, err := BatchGridParams(map[string]string{
-		"batchgrid": "1,8,32", "batchlinger": "1000",
-	})
+	params := maps.Clone(base)
+	params["batchgrid"] = "1,8,32"
+	params["batchlinger"] = "1000"
+	legs, err := Legs(params, 4, "batchgrid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 3 || grid[0] != 1 || linger != "1000" {
-		t.Fatalf("batch grid parsed as %v / linger %q", grid, linger)
+	if len(legs) != 3 || len(legs[0].On) != 0 || legs[1].Params["linger"] != "1000" {
+		t.Fatalf("batch grid expanded to %+v", legs)
 	}
-	curves := make(map[int]Curve, len(grid))
-	for _, depth := range grid {
-		curves[depth] = run(BatchLegParams(base, depth, linger))
+	curves := make(map[int]Curve, len(legs))
+	for _, leg := range legs {
+		depth, _ := strconv.Atoi(cmp.Or(leg.On["batch"], "1"))
+		curves[depth] = run(leg.Threads, leg.Params)
 	}
 	b1, b8, b32 := curves[1], curves[8], curves[32]
 
 	// The depth-1 leg must BE the unbatched curve — same params, same
 	// derived seeds, same numbers — not a near-copy with batch keys set.
-	if legs := BatchLegParams(base, 1, linger); !reflect.DeepEqual(legs, base) {
-		t.Fatalf("depth-1 leg params %v differ from the unbatched base %v", legs, base)
+	if !reflect.DeepEqual(legs[0].Params, base) {
+		t.Fatalf("depth-1 leg params %v differ from the unbatched base %v", legs[0].Params, base)
 	}
-	if unbatched := run(base); !reflect.DeepEqual(b1, unbatched) {
+	if unbatched := run(4, base); !reflect.DeepEqual(b1, unbatched) {
 		t.Fatal("depth-1 leg curve differs from the unbatched sweep")
 	}
 
@@ -249,5 +256,223 @@ func TestServeParallelByteIdentical(t *testing.T) {
 	}
 	if !json.Valid(serial) {
 		t.Fatal("output is not valid JSON")
+	}
+}
+
+// TestLegs pins the sweep-axis table: each axis's suffix tag and title,
+// the cross-product order, the off-value rule (an off leg's params are the
+// base), integers in standard form, companions renamed onto the legs where
+// their axis is on, grid and companion keys consumed from the base map,
+// and grids the caller does not name left for the point.
+func TestLegs(t *testing.T) {
+	base := map[string]string{"backend": "pmemkv", "putlog": "1"}
+	var allGrids []string
+	for _, a := range sweepAxes {
+		allGrids = append(allGrids, a.grid)
+	}
+	with := func(kv ...string) map[string]string {
+		m := maps.Clone(base)
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i]] = kv[i+1]
+		}
+		return m
+	}
+	on := func(kv ...string) map[string]string {
+		m := make(map[string]string)
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i]] = kv[i+1]
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name  string
+		grid  map[string]string // sweep params on top of base
+		grids []string          // the axes Legs expands; nil for all
+		want  []Leg
+	}{
+		{
+			name: "no grid: companions stay for the point",
+			grid: map[string]string{"batchlinger": "500", "cacheevict": "random", "faultat": "0.8"},
+			want: []Leg{{Threads: 4, Params: with("batchlinger", "500", "cacheevict", "random", "faultat", "0.8")}},
+		},
+		{
+			name: "threads",
+			grid: map[string]string{"threadgrid": "4, 16"},
+			want: []Leg{
+				{Threads: 4, Params: with(), Suffix: "@t4"},
+				{Threads: 16, Params: with(), Suffix: "@t16"},
+			},
+		},
+		{
+			name: "policy",
+			grid: map[string]string{"policygrid": "capped,local-packed"},
+			want: []Leg{
+				{Threads: 4, Params: with("policy", "capped"), On: on("policy", "capped"), Suffix: "@capped"},
+				{Threads: 4, Params: with("policy", "local-packed"), On: on("policy", "local-packed"), Suffix: "@local-packed"},
+			},
+		},
+		{
+			name: "batch",
+			grid: map[string]string{"batchgrid": "1,8", "batchlinger": "1000"},
+			want: []Leg{
+				{Threads: 4, Params: with(), Suffix: "@b1", Title: ", batch 1"},
+				{Threads: 4, Params: with("batch", "8", "linger", "1000"), On: on("batch", "8"), Suffix: "@b8", Title: ", batch 8"},
+			},
+		},
+		{
+			name: "cache",
+			grid: map[string]string{
+				"cachegrid": "0,65536", "cachequota": "4096", "cacheadmit": "2",
+				"cacheevict": "random", "cachetier": "hot",
+			},
+			want: []Leg{
+				{Threads: 4, Params: with(), Suffix: "@c0", Title: ", cache 0 B"},
+				{
+					Threads: 4,
+					Params: with("cache", "65536", "quota", "4096", "admit", "2",
+						"evict", "random", "tier", "hot"),
+					On: on("cache", "65536"), Suffix: "@c65536", Title: ", cache 65536 B",
+				},
+			},
+		},
+		{
+			name: "fault",
+			grid: map[string]string{"faultgrid": "none,crash", "faultat": "0.8", "detect": "500"},
+			want: []Leg{
+				{Threads: 4, Params: with(), Suffix: "@fnone", Title: ", fault none"},
+				{
+					Threads: 4, Params: with("fault", "crash", "faultat", "0.8", "detect", "500"),
+					On: on("fault", "crash"), Suffix: "@fcrash", Title: ", fault crash",
+				},
+			},
+		},
+		{
+			name: "integers in standard form",
+			grid: map[string]string{"threadgrid": "016", "batchgrid": "01,+8", "cachegrid": "00"},
+			want: []Leg{
+				{Threads: 16, Params: with(), Suffix: "@b1", Title: ", batch 1"},
+				{Threads: 16, Params: with("batch", "8"), On: on("batch", "8"), Suffix: "@b8", Title: ", batch 8"},
+			},
+		},
+		{
+			name:  "unnamed grid stays for the point",
+			grid:  map[string]string{"batchgrid": "1,8", "faultgrid": "none", "faultat": "0.8"},
+			grids: []string{"batchgrid"},
+			want: []Leg{
+				{Threads: 4, Params: with("faultgrid", "none", "faultat", "0.8"), Suffix: "@b1", Title: ", batch 1"},
+				{
+					Threads: 4, Params: with("faultgrid", "none", "faultat", "0.8", "batch", "8"),
+					On: on("batch", "8"), Suffix: "@b8", Title: ", batch 8",
+				},
+			},
+		},
+		{
+			name: "one value: no suffix or title",
+			grid: map[string]string{"batchgrid": "8"},
+			want: []Leg{{Threads: 4, Params: with("batch", "8"), On: on("batch", "8")}},
+		},
+		{
+			name: "cross product: threads, batch, cache",
+			grid: map[string]string{"threadgrid": "2,8", "batchgrid": "1,8", "cachegrid": "0,65536"},
+			want: []Leg{
+				{Threads: 2, Params: with(), Suffix: "@t2@b1@c0", Title: ", batch 1, cache 0 B"},
+				{Threads: 2, Params: with("cache", "65536"), On: on("cache", "65536"), Suffix: "@t2@b1@c65536", Title: ", batch 1, cache 65536 B"},
+				{Threads: 2, Params: with("batch", "8"), On: on("batch", "8"), Suffix: "@t2@b8@c0", Title: ", batch 8, cache 0 B"},
+				{Threads: 2, Params: with("batch", "8", "cache", "65536"), On: on("batch", "8", "cache", "65536"), Suffix: "@t2@b8@c65536", Title: ", batch 8, cache 65536 B"},
+				{Threads: 8, Params: with(), Suffix: "@t8@b1@c0", Title: ", batch 1, cache 0 B"},
+				{Threads: 8, Params: with("cache", "65536"), On: on("cache", "65536"), Suffix: "@t8@b1@c65536", Title: ", batch 1, cache 65536 B"},
+				{Threads: 8, Params: with("batch", "8"), On: on("batch", "8"), Suffix: "@t8@b8@c0", Title: ", batch 8, cache 0 B"},
+				{Threads: 8, Params: with("batch", "8", "cache", "65536"), On: on("batch", "8", "cache", "65536"), Suffix: "@t8@b8@c65536", Title: ", batch 8, cache 65536 B"},
+			},
+		},
+		{
+			name: "cross product: policy, fault",
+			grid: map[string]string{"policygrid": "capped,local-packed", "faultgrid": "none,stall"},
+			want: []Leg{
+				{Threads: 4, Params: with("policy", "capped"), On: on("policy", "capped"), Suffix: "@capped@fnone", Title: ", fault none"},
+				{Threads: 4, Params: with("policy", "capped", "fault", "stall"), On: on("policy", "capped", "fault", "stall"), Suffix: "@capped@fstall", Title: ", fault stall"},
+				{Threads: 4, Params: with("policy", "local-packed"), On: on("policy", "local-packed"), Suffix: "@local-packed@fnone", Title: ", fault none"},
+				{Threads: 4, Params: with("policy", "local-packed", "fault", "stall"), On: on("policy", "local-packed", "fault", "stall"), Suffix: "@local-packed@fstall", Title: ", fault stall"},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := with()
+			maps.Copy(params, tc.grid)
+			grids := tc.grids
+			if grids == nil {
+				grids = allGrids
+			}
+			legs, err := Legs(params, 4, grids...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(legs, tc.want) {
+				t.Errorf("legs:\n got %+v\nwant %+v", legs, tc.want)
+			}
+			// Legs consumes every named grid present and that grid's
+			// companions, leaving the base the off legs run with.
+			for _, a := range sweepAxes {
+				if _, ok := tc.grid[a.grid]; !ok || !slices.Contains(grids, a.grid) {
+					continue
+				}
+				if _, ok := params[a.grid]; ok {
+					t.Errorf("grid %s left in the base params", a.grid)
+				}
+				for c := range a.companions {
+					if _, ok := params[c]; ok {
+						t.Errorf("companion %s left in the base params", c)
+					}
+				}
+			}
+			for _, leg := range legs {
+				if len(leg.On) == 0 && !reflect.DeepEqual(leg.Params, params) {
+					t.Errorf("off leg %q params %v differ from the base %v", leg.Suffix, leg.Params, params)
+				}
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		grid, value string
+	}{
+		{"threadgrid", "0"},
+		{"threadgrid", "4,x"},
+		{"batchgrid", "8,8"},
+		{"batchgrid", "8,08"},
+		{"batchgrid", "x"},
+		{"cachegrid", "0, 65536,65536"},
+		{"policygrid", "capped,"},
+	} {
+		_, err := Legs(map[string]string{tc.grid: tc.value}, 4, allGrids...)
+		if err == nil || !strings.Contains(err.Error(), "param "+tc.grid+"=") {
+			t.Errorf("%s=%s: err %v, want one naming the grid param", tc.grid, tc.value, err)
+		}
+	}
+}
+
+// TestSweepCompanionWithoutGridRejected pins that a param the service
+// sweep does not expand reaches the point, whose reader rejects it instead
+// of the sweep dropping it silently: a grid companion without its grid,
+// and the policy and fault grids, which only cluster sweeps expand.
+func TestSweepCompanionWithoutGridRejected(t *testing.T) {
+	for _, tc := range []struct {
+		params map[string]string
+		want   string
+	}{
+		{map[string]string{"batchlinger": "500"}, "batchlinger"},
+		{map[string]string{"cachequota": "500"}, "cachequota"},
+		{map[string]string{"cacheevict": "random"}, "cacheevict"},
+		{map[string]string{"policygrid": "capped,local-packed"}, "policygrid"},
+		{map[string]string{"faultgrid": "none", "faultat": "0.8"}, "faultgrid"},
+	} {
+		tc.params["points"] = "2"
+		_, err := harness.Run(harness.Spec{
+			Scenario: "service/kv/sweep-pmemkv", Duration: 20 * sim.Microsecond,
+			Params: tc.params,
+		})
+		if err == nil || !strings.Contains(err.Error(), "unknown params") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err %v, want the point to reject %s", tc.params, err, tc.want)
+		}
 	}
 }
