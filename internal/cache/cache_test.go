@@ -2,8 +2,8 @@ package cache
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
-	"testing/quick"
 
 	"optanestudy/internal/mem"
 	"optanestudy/internal/sim"
@@ -132,37 +132,396 @@ func TestLLCDropAll(t *testing.T) {
 	}
 }
 
-// Property: the key index stays consistent with the line map under random
-// operations, and capacity is never exceeded.
-func TestLLCIndexInvariant(t *testing.T) {
-	f := func(seed uint64) bool {
-		c := small(32)
-		r := sim.NewRNG(seed)
-		for i := 0; i < 2000; i++ {
-			addr := r.Int63n(128) * mem.CacheLine
-			switch r.Intn(4) {
-			case 0:
-				c.Insert(addr)
-			case 1:
-				c.MarkDirty(addr, 0, nil)
-			case 2:
-				c.WriteBack(addr)
-			case 3:
-				c.Evict(addr)
-			}
-			if c.Len() > 32 || len(c.keys) != c.Len() || len(c.pos) != c.Len() {
-				return false
-			}
-		}
-		for i, k := range c.keys {
-			if c.pos[k] != i || !c.Present(k) {
-				return false
-			}
-		}
-		return true
+// refLLC is the reference the LLC is checked against: resident lines in a
+// map, a dense key slice in replacement order (append on insert,
+// swap-with-last on removal) and one seeded Intn over that slice per
+// capacity eviction.
+type refLLC struct {
+	lines map[int64]*refLine
+	keys  []int64
+	pos   map[int64]int
+	rng   *sim.RNG
+	cap   int
+}
+
+type refLine struct {
+	dirty bool
+	data  []byte
+	mask  uint64
+}
+
+func newRefLLC(cfg Config) *refLLC {
+	r := &refLLC{rng: sim.NewRNG(cfg.Seed), cap: cfg.Lines}
+	r.clear()
+	return r
+}
+
+func (r *refLLC) clear() {
+	r.lines, r.pos, r.keys = make(map[int64]*refLine), make(map[int64]int), r.keys[:0]
+}
+
+func (r *refLLC) remove(addr int64) *refLine {
+	l := r.lines[addr]
+	i, last := r.pos[addr], len(r.keys)-1
+	r.keys[i] = r.keys[last]
+	r.pos[r.keys[i]] = i
+	r.keys = r.keys[:last]
+	delete(r.pos, addr)
+	delete(r.lines, addr)
+	return l
+}
+
+func (r *refLLC) insert(addr int64) (Victim, bool) {
+	if _, ok := r.lines[addr]; ok {
+		return Victim{}, false
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+	var v Victim
+	evicted := false
+	if len(r.keys) >= r.cap {
+		va := r.keys[r.rng.Intn(len(r.keys))]
+		l := r.remove(va)
+		v, evicted = Victim{Addr: va, Dirty: l.dirty, Data: l.data, Mask: l.mask}, true
+	}
+	r.lines[addr] = &refLine{}
+	r.pos[addr] = len(r.keys)
+	r.keys = append(r.keys, addr)
+	return v, evicted
+}
+
+func (r *refLLC) markDirty(addr int64, off int, data []byte) (Victim, bool) {
+	v, evicted := r.insert(addr)
+	l := r.lines[addr]
+	l.dirty = true
+	if data != nil {
+		if l.data == nil {
+			l.data = make([]byte, mem.CacheLine)
+		}
+		copy(l.data[off:], data)
+		for i := range data {
+			l.mask |= 1 << uint(off+i)
+		}
+	}
+	return v, evicted
+}
+
+func (r *refLLC) writeBack(addr int64) ([]byte, uint64, bool) {
+	l, ok := r.lines[addr]
+	if !ok || !l.dirty {
+		return nil, 0, false
+	}
+	data, mask := l.data, l.mask
+	*l = refLine{}
+	return data, mask, true
+}
+
+func (r *refLLC) evict(addr int64) ([]byte, uint64, bool) {
+	if _, ok := r.lines[addr]; !ok {
+		return nil, 0, false
+	}
+	l := r.remove(addr)
+	return l.data, l.mask, l.dirty
+}
+
+// drain empties the cache, handing each dirty line with data to fn in
+// replacement order, and returns the dirty-line count.
+func (r *refLLC) drain(fn func(addr int64, data []byte, mask uint64)) int {
+	dirty := 0
+	for _, a := range r.keys {
+		if l := r.lines[a]; l.dirty {
+			dirty++
+			if l.data != nil {
+				fn(a, l.data, l.mask)
+			}
+		}
+	}
+	r.clear()
+	return dirty
+}
+
+// The op kinds the differential tests replay.
+const (
+	opInsert = iota
+	opMarkDirty
+	opStore // MarkDirty with data
+	opWriteBack
+	opEvict
+	opPresent
+	opDirty
+	opData
+	opDropAll
+	opFlushAll
+	numOps
+)
+
+type llcOp struct {
+	kind int
+	addr int64
+	off  int
+	data []byte
+}
+
+// llcCaps are the capacities the differential tests cover: 16 fills its
+// index to exactly half, 17 is not a power of two and grows its index on
+// the last insert, and 1024 takes several doublings.
+var llcCaps = []int{16, 17, 1024}
+
+// llcAddr maps an address selector to a line address: dense lines, or
+// lines a large power of two apart.
+func llcAddr(sel int, stride bool) int64 {
+	if stride {
+		return int64(sel) << 24
+	}
+	return int64(sel) * mem.CacheLine
+}
+
+// sameOverlay reports whether two overlays agree on nil-ness and on every
+// byte under the mask.
+func sameOverlay(a, b []byte, mask uint64) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for i := 0; a != nil && i < mem.CacheLine; i++ {
+		if mask&(1<<uint(i)) != 0 && a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func sameVictim(a, b Victim) bool {
+	return a.Addr == b.Addr && a.Dirty == b.Dirty && a.Mask == b.Mask && sameOverlay(a.Data, b.Data, a.Mask)
+}
+
+type flushed struct {
+	addr int64
+	mask uint64
+	data []byte
+}
+
+// checkAgainstReference replays ops on a fresh LLC of the given capacity
+// and on the reference, failing at the first return value that differs.
+func checkAgainstReference(t *testing.T, capacity int, ops []llcOp) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Lines = capacity
+	c, r := New(cfg), newRefLLC(cfg)
+	for i, op := range ops {
+		ok := true
+		switch op.kind {
+		case opInsert, opMarkDirty, opStore:
+			var v, rv Victim
+			var ev, rev bool
+			if op.kind == opInsert {
+				v, ev = c.Insert(op.addr)
+				rv, rev = r.insert(op.addr)
+			} else {
+				v, ev = c.MarkDirty(op.addr, op.off, op.data)
+				rv, rev = r.markDirty(op.addr, op.off, op.data)
+			}
+			ok = ev == rev && sameVictim(v, rv)
+		case opWriteBack, opEvict:
+			var d, rd []byte
+			var m, rm uint64
+			var dirty, rdirty bool
+			if op.kind == opWriteBack {
+				d, m, dirty = c.WriteBack(op.addr)
+				rd, rm, rdirty = r.writeBack(op.addr)
+			} else {
+				d, m, dirty = c.Evict(op.addr)
+				rd, rm, rdirty = r.evict(op.addr)
+			}
+			ok = m == rm && dirty == rdirty && sameOverlay(d, rd, m)
+		case opPresent:
+			_, want := r.lines[op.addr]
+			ok = c.Present(op.addr) == want
+		case opDirty:
+			l := r.lines[op.addr]
+			ok = c.Dirty(op.addr) == (l != nil && l.dirty)
+		case opData:
+			d, m := c.Data(op.addr)
+			var rd []byte
+			var rm uint64
+			if l := r.lines[op.addr]; l != nil {
+				rd, rm = l.data, l.mask
+			}
+			ok = m == rm && sameOverlay(d, rd, m)
+		case opDropAll:
+			want := r.drain(func(int64, []byte, uint64) {})
+			ok = c.DropAll() == want
+		case opFlushAll:
+			var got, want []flushed
+			record := func(out *[]flushed) func(int64, []byte, uint64) {
+				return func(addr int64, data []byte, mask uint64) {
+					*out = append(*out, flushed{addr, mask, data})
+				}
+			}
+			ok = c.FlushAll(record(&got)) == r.drain(record(&want)) && len(got) == len(want)
+			for j := 0; ok && j < len(got); j++ {
+				ok = got[j].addr == want[j].addr && got[j].mask == want[j].mask &&
+					sameOverlay(got[j].data, want[j].data, got[j].mask)
+			}
+		}
+		if !ok || c.Len() != len(r.keys) {
+			t.Fatalf("capacity %d, op %d (kind %d, addr %#x): LLC diverges from the reference (len %d, want %d)",
+				capacity, i, op.kind, op.addr, c.Len(), len(r.keys))
+		}
+	}
+}
+
+// The LLC matches the reference on seeded random op sequences, over dense
+// addresses and over addresses a power of two apart.
+func TestLLCMatchesReference(t *testing.T) {
+	for _, capacity := range llcCaps {
+		for _, stride := range []bool{false, true} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				rng := sim.NewRNG(seed)
+				n := 20000
+				ops := make([]llcOp, n)
+				for i := range ops {
+					op := llcOp{kind: rng.Intn(opDropAll), addr: llcAddr(rng.Intn(4*capacity), stride)}
+					switch {
+					case i == n/2:
+						op.kind = opFlushAll
+					case i == 3*n/4:
+						op.kind = opDropAll
+					case op.kind == opStore:
+						op.off = rng.Intn(mem.CacheLine)
+						op.data = make([]byte, 1+rng.Intn(mem.CacheLine-op.off))
+						for j := range op.data {
+							op.data[j] = byte(rng.Uint64())
+						}
+					}
+					ops[i] = op
+				}
+				checkAgainstReference(t, capacity, ops)
+			}
+		}
+	}
+}
+
+// decodeLLCOps turns fuzz bytes into a capacity and an op sequence. The
+// first byte picks the capacity (low bits) and the address space (top
+// bit); each following 5-byte group is one op: kind, a 16-bit address
+// selector, and a store's offset and length.
+func decodeLLCOps(b []byte) (int, []llcOp) {
+	if len(b) == 0 {
+		return llcCaps[0], nil
+	}
+	capacity := llcCaps[int(b[0]&0x7f)%len(llcCaps)]
+	stride := b[0]&0x80 != 0
+	var ops []llcOp
+	for b = b[1:]; len(b) >= 5; b = b[5:] {
+		sel := int(b[1]) | int(b[2])<<8
+		op := llcOp{kind: int(b[0]) % numOps, addr: llcAddr(sel%(4*capacity), stride)}
+		if op.kind == opStore {
+			op.off = int(b[3]) % mem.CacheLine
+			op.data = bytes.Repeat([]byte{b[4]}, 1+int(b[4])%(mem.CacheLine-op.off))
+		}
+		ops = append(ops, op)
+	}
+	return capacity, ops
+}
+
+// encodeLLCOp appends one op in decodeLLCOps's format.
+func encodeLLCOp(b []byte, kind, sel int, off, n byte) []byte {
+	return append(b, byte(kind), byte(sel), byte(sel>>8), off, n)
+}
+
+func FuzzLLCMatchesReference(f *testing.F) {
+	// Evict everything: dirty 4x the capacity with data, then evict every
+	// address and drain.
+	seed := []byte{0}
+	for sel := 0; sel < 64; sel++ {
+		seed = encodeLLCOp(seed, opStore, sel, byte(sel), byte(sel))
+	}
+	for sel := 0; sel < 64; sel++ {
+		seed = encodeLLCOp(seed, opEvict, sel, 0, 0)
+	}
+	f.Add(encodeLLCOp(seed, opFlushAll, 0, 0, 0))
+
+	// Collide, then delete: insert the largest set of strided addresses
+	// sharing one home slot, evict the chain's head so backward-shift
+	// deletion moves the rest, then probe and evict them all.
+	probe := small(16)
+	probe.Insert(0)
+	homes := map[int][]int{}
+	best := 0
+	for sel := 0; sel < 4*16; sel++ {
+		h := probe.home(llcAddr(sel, true))
+		homes[h] = append(homes[h], sel)
+		if len(homes[h]) > len(homes[best]) {
+			best = h
+		}
+	}
+	chain := homes[best]
+	seed = []byte{0x80}
+	for _, sel := range chain {
+		seed = encodeLLCOp(seed, opMarkDirty, sel, 0, 0)
+	}
+	seed = encodeLLCOp(seed, opEvict, chain[0], 0, 0)
+	for _, sel := range chain {
+		seed = encodeLLCOp(seed, opPresent, sel, 0, 0)
+	}
+	for _, sel := range chain[1:] {
+		seed = encodeLLCOp(seed, opEvict, sel, 0, 0)
+	}
+	f.Add(seed)
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		capacity, ops := decodeLLCOps(b)
+		checkAgainstReference(t, capacity, ops)
+	})
+}
+
+// On a full LLC, eviction, dirtying, probing and evict/re-insert touch no
+// Go heap.
+func TestLLCZeroAlloc(t *testing.T) {
+	c := small(1024)
+	next := int64(0)
+	fresh := func() int64 {
+		next += mem.CacheLine
+		return next
+	}
+	for c.Len() < 1024 {
+		c.Insert(fresh())
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"insert-evict", func() { c.Insert(fresh()) }},
+		{"mark-dirty", func() { c.MarkDirty(fresh(), 0, nil) }},
+		{"present", func() { c.Present(next) }},
+		{"evict-reinsert", func() { c.Evict(next); c.Insert(next) }},
+	} {
+		if avg := testing.AllocsPerRun(1000, tc.fn); avg != 0 {
+			t.Errorf("%s: %.2f allocs per call, want 0", tc.name, avg)
+		}
+	}
+	if c.Len() != 1024 {
+		t.Fatalf("len = %d, want 1024", c.Len())
+	}
+}
+
+// The eADR drain visits dirty lines in replacement order, so two
+// identically seeded caches given the same operations drain in the same
+// order.
+func TestLLCFlushAllDeterministic(t *testing.T) {
+	drain := func() []flushed {
+		c := small(256)
+		for i := int64(0); i < 512; i++ {
+			c.MarkDirty(i*mem.CacheLine, int(i%mem.CacheLine), []byte{byte(i)})
+		}
+		var out []flushed
+		if n := c.FlushAll(func(addr int64, data []byte, mask uint64) {
+			out = append(out, flushed{addr: addr, mask: mask})
+		}); n != 256 || len(out) != 256 {
+			t.Fatalf("flushed %d lines (%d callbacks), want 256", n, len(out))
+		}
+		return out
+	}
+	if a, b := drain(), drain(); !reflect.DeepEqual(a, b) {
+		t.Fatal("identically seeded LLCs drained in different orders")
 	}
 }
 
@@ -187,7 +546,12 @@ func TestWCBufferCompletesLine(t *testing.T) {
 func TestWCBufferFenceFlush(t *testing.T) {
 	w := NewWCBuffer()
 	w.Write(0, make([]byte, 8))
+	w.Write(64, make([]byte, 8))
 	w.Write(128, make([]byte, 8))
+	// Completing the middle line leaves the others in fill order.
+	if addr, _, ok := w.Write(72, make([]byte, 56)); !ok || addr != 64 {
+		t.Fatal("middle line not completed")
+	}
 	var flushed []int64
 	w.Flush(func(addr int64, data []byte, mask uint64) {
 		flushed = append(flushed, addr)

@@ -37,11 +37,12 @@ type Channel struct {
 	cfg ChannelConfig
 	bus sim.Server
 
-	wpqs      map[dimm.DIMM]*wpqState
+	wpqs      []wpqState // one per attached DIMM, in first-use order
 	postCount int64
 }
 
 type wpqState struct {
+	d         dimm.DIMM
 	q         *sim.BoundedQueue
 	lastDrain sim.Time
 	stall     sim.Time
@@ -52,16 +53,20 @@ func NewChannel(cfg ChannelConfig) *Channel {
 	if cfg.WPQEntries < 1 {
 		cfg.WPQEntries = 1
 	}
-	return &Channel{cfg: cfg, wpqs: make(map[dimm.DIMM]*wpqState)}
+	return &Channel{cfg: cfg}
 }
 
+// wpq returns d's queue state, found by identity: a channel carries two
+// DIMMs, so a scan beats hashing the interface. The pointer is valid
+// until the next call.
 func (c *Channel) wpq(d dimm.DIMM) *wpqState {
-	w := c.wpqs[d]
-	if w == nil {
-		w = &wpqState{q: sim.NewBoundedQueue(c.cfg.WPQEntries)}
-		c.wpqs[d] = w
+	for i := range c.wpqs {
+		if c.wpqs[i].d == d {
+			return &c.wpqs[i]
+		}
 	}
-	return w
+	c.wpqs = append(c.wpqs, wpqState{d: d, q: sim.NewBoundedQueue(c.cfg.WPQEntries)})
+	return &c.wpqs[len(c.wpqs)-1]
 }
 
 // Read performs a 64 B read of the given DIMM starting at time t and

@@ -25,7 +25,7 @@ type MemCtx struct {
 	wc     *cache.WCBuffer
 	rng    *sim.RNG
 
-	windows map[dimm.DIMM]*drainRing
+	windows []dimmWindow // per-DIMM WPQ windows, in first-use order
 
 	pendingAck sim.Time
 	hasPending bool
@@ -39,6 +39,13 @@ type MemCtx struct {
 	// retires only once the line arrives). This is why store+clwb to cold
 	// lines inherits the device's read latency (Section 5.2).
 	rfoDone map[int64]sim.Time
+}
+
+// dimmWindow is a thread's WPQ window on one DIMM. A thread touches few
+// DIMMs, so a slice searched by identity beats hashing the interface.
+type dimmWindow struct {
+	d    dimm.DIMM
+	ring *drainRing
 }
 
 // drainRing caps the number of un-drained WPQ entries a thread may have on
@@ -129,15 +136,14 @@ func (c *MemCtx) ackTime(xp, remote bool) sim.Time {
 }
 
 func (c *MemCtx) window(d dimm.DIMM) *drainRing {
-	w := c.windows[d]
-	if w == nil {
-		w = c.p.getRing()
-		if c.windows == nil {
-			c.windows = make(map[dimm.DIMM]*drainRing)
+	for _, w := range c.windows {
+		if w.d == d {
+			return w.ring
 		}
-		c.windows[d] = w
 	}
-	return w
+	r := c.p.getRing()
+	c.windows = append(c.windows, dimmWindow{d: d, ring: r})
+	return r
 }
 
 // recycle returns the context's per-DIMM windows to the platform pool once
@@ -145,8 +151,8 @@ func (c *MemCtx) window(d dimm.DIMM) *drainRing {
 // allocating fresh windows. Safe because procs run exclusively.
 func (c *MemCtx) recycle() {
 	for _, w := range c.windows {
-		w.reset()
-		c.p.ringPool = append(c.p.ringPool, w)
+		w.ring.reset()
+		c.p.ringPool = append(c.p.ringPool, w.ring)
 	}
 	c.windows = nil
 }
@@ -154,7 +160,7 @@ func (c *MemCtx) recycle() {
 func (c *MemCtx) resetPending() {
 	c.pendingAck, c.hasPending = 0, false
 	for _, w := range c.windows {
-		w.reset()
+		w.ring.reset()
 	}
 	c.loads = c.loads[:0]
 	c.loadHead = 0

@@ -106,10 +106,11 @@ func (h *dispatchHarness) step(ctx *platform.MemCtx) error {
 // key and value rendering, backend reads, group-commit journaling, latency
 // recording — must not allocate. Warmup lets every amortized structure
 // (queue rings, the appender's staging mirror, histogram buckets, load
-// windows, the XPBuffer's entry pool) reach its high-water mark; after
-// that, a dispatched op that touches the Go heap is a regression. Depth 1
-// is left out: its unaligned Append records still allocate
-// write-combining lines (see BenchmarkDispatchAllocs).
+// windows, the XPBuffer's entry pool, the write-combining buffer's line
+// slice) reach its high-water mark; after that, a dispatched op that
+// touches the Go heap is a regression. Depth 1 runs each logged PUT as an
+// unbatched Append whose unaligned record goes through the write-combining
+// buffer; depth 8 is a group commit.
 func TestDispatchZeroAlloc(t *testing.T) {
 	// cached-hit: the tier holds the whole keyspace, so warmed-up GETs stay
 	// in DRAM. miss-fill: the tier holds 1/4 of it, so steady state keeps
@@ -127,39 +128,43 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			h := newDispatchHarnessOpts(t, 8, v.backend, v.cache)
-			var avg float64
-			var stepErr error
-			h.p.Go("dispatch", 0, func(ctx *platform.MemCtx) {
-				for i := 0; i < 400; i++ { // warmup: past the queue-ring trim cycle
-					if stepErr = h.step(ctx); stepErr != nil {
-						return
+			for _, depth := range []int{1, 8} {
+				t.Run(fmt.Sprintf("batch=%d", depth), func(t *testing.T) {
+					h := newDispatchHarnessOpts(t, depth, v.backend, v.cache)
+					var avg float64
+					var stepErr error
+					h.p.Go("dispatch", 0, func(ctx *platform.MemCtx) {
+						for i := 0; i < 400; i++ { // warmup: past the queue-ring trim cycle
+							if stepErr = h.step(ctx); stepErr != nil {
+								return
+							}
+						}
+						avg = testing.AllocsPerRun(100, func() {
+							if err := h.step(ctx); err != nil && stepErr == nil {
+								stepErr = err
+							}
+						})
+					})
+					h.p.Run()
+					if stepErr != nil {
+						t.Fatal(stepErr)
 					}
-				}
-				avg = testing.AllocsPerRun(100, func() {
-					if err := h.step(ctx); err != nil && stepErr == nil {
-						stepErr = err
+					if avg != 0 {
+						t.Fatalf("steady-state dispatch allocates: %.2f allocs per batch, want 0", avg)
+					}
+					if h.sh.completed == 0 || h.st.tenants[0].Completed != h.sh.completed {
+						t.Fatalf("harness recorded %d/%d completions", h.sh.completed, h.st.tenants[0].Completed)
+					}
+					if tier, ok := h.shard.Backend.(*hottier.Tier); ok {
+						c := tier.Counters()
+						if v.name == "cached-hit" && c.Hits == 0 {
+							t.Fatal("cached-hit variant never hit the tier")
+						}
+						if v.name == "miss-fill" && c.Evictions == 0 {
+							t.Fatal("miss-fill variant never evicted")
+						}
 					}
 				})
-			})
-			h.p.Run()
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if avg != 0 {
-				t.Fatalf("steady-state dispatch allocates: %.2f allocs per batch, want 0", avg)
-			}
-			if h.sh.completed == 0 || h.st.tenants[0].Completed != h.sh.completed {
-				t.Fatalf("harness recorded %d/%d completions", h.sh.completed, h.st.tenants[0].Completed)
-			}
-			if tier, ok := h.shard.Backend.(*hottier.Tier); ok {
-				c := tier.Counters()
-				if v.name == "cached-hit" && c.Hits == 0 {
-					t.Fatal("cached-hit variant never hit the tier")
-				}
-				if v.name == "miss-fill" && c.Evictions == 0 {
-					t.Fatal("miss-fill variant never evicted")
-				}
 			}
 		})
 	}
@@ -167,8 +172,8 @@ func TestDispatchZeroAlloc(t *testing.T) {
 
 // BenchmarkDispatchAllocs reports the dispatch path's cost and
 // allocation rate per worker wakeup (one batch) at the sweep's batch
-// depths. Above depth 1 allocs/op must be 0; at depth 1 each logged PUT's
-// Append of an unaligned record still allocates write-combining lines.
+// depths. allocs/op must be 0 at every depth (TestDispatchZeroAlloc pins
+// depths 1 and 8).
 func BenchmarkDispatchAllocs(b *testing.B) {
 	for _, bk := range []struct {
 		name  string
