@@ -11,8 +11,6 @@ import (
 	"optanestudy/internal/devstat"
 	"optanestudy/internal/fault"
 	"optanestudy/internal/harness"
-	"optanestudy/internal/platform"
-	"optanestudy/internal/pmem"
 	"optanestudy/internal/service"
 	"optanestudy/internal/sim"
 	"optanestudy/internal/stats"
@@ -200,6 +198,8 @@ func init() {
 }
 
 // runClusterPoint measures one open-loop load level through the cluster.
+// It reads the placement and fault params; service.RunPoint reads and
+// checks the rest and serves through the fabric built here.
 func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 	r := harness.NewParamReader(spec.Params)
 	policy := r.Str("policy", PolicyLocalPacked)
@@ -207,29 +207,6 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 	dimms := r.Int("dimms", 0)
 	capDIMM := r.Int("capdimm", 4)
 	span := r.Int64("span", 1)
-	backend := r.Str("backend", "pmemkv")
-	media := r.Str("media", "optane")
-	mode := r.Str("mode", "wal-flex")
-	arrival := r.Str("arrival", "poisson")
-	offered := r.Float("offered", 8000) // kops, cluster-wide
-	cycleUS := r.Float("cycle", 20)
-	onFrac := r.Float("onfrac", 0.25)
-	tenants := r.Int("tenants", 2)
-	theta := r.Float("theta", 0.99)
-	mix := r.Str("mix", "split")
-	hotFrac := r.Float("hotfrac", 0.9)
-	hotKeys := r.Int64("hotkeys", 0)
-	hotPeriod := r.Int64("hotperiod", 2000)
-	keys := r.Int64("keys", 200)
-	keySize := r.Int("keysize", 16)
-	valSize := r.Int("valsize", 128)
-	getFrac := r.Float("get", 0.75)
-	putFrac := r.Float("put", 0.2)
-	scanFrac := r.Float("scan", 0.05)
-	delFrac := r.Float("del", 0)
-	scanLen := r.Int("scanlen", 16)
-	scanMode := r.Str("scanmode", "emulate")
-	putlog := r.Bool("putlog", false)
 	replicate := r.Bool("replicate", false)
 	faultKind := r.Str("fault", "")
 	faultShard := r.Int("faultshard", 0)
@@ -240,356 +217,159 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 	churnPeriodUS := r.Float("churnperiod", 80)
 	churnDown := r.Float("churndown", 0.3)
 	churnJitter := r.Float("churnjitter", 0.2)
-	qcap := r.Int("qcap", 0)
-	pollNS := r.Float("poll", 200)
-	batch := r.Int("batch", 1)
-	lingerNS := r.Float("linger", 0)
-	pmBytes := r.Int64("pmbytes", 0)
-	dramBytes := r.Int64("drambytes", 0)
-	cacheBytes := r.Int64("cache", 0)
-	quotaBytes := r.Int64("quota", 0)
-	admit := r.Int("admit", 1)
-	evict := r.Str("evict", "clock")
-	tierKind := r.Str("tier", "")
-	llcKB := r.Int64("llckb", 0)
-	devOn := r.Bool("devstat", false)
-	if err := r.Err(); err != nil {
-		return harness.Trial{}, err
-	}
-	switch tierKind {
-	case "":
-	case "hot":
-		if cacheBytes <= 0 {
-			return harness.Trial{}, fmt.Errorf("cluster: tier=hot needs a positive cache size, got %d", cacheBytes)
+	return service.RunPoint(spec, r, func(fs service.FabricSpec, cfg *service.Config) (*service.Fabric, error) {
+		if fs.Tier == "memmode" {
+			return nil, fmt.Errorf("cluster: tier=memmode is a single-node axis (service/cache/memmode)")
 		}
-	case "memmode":
-		return harness.Trial{}, fmt.Errorf("cluster: tier=memmode is a single-node axis (service/cache/memmode)")
-	default:
-		return harness.Trial{}, fmt.Errorf("cluster: unknown tier %q (want hot)", tierKind)
-	}
-	if cacheBytes < 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: cache must be >= 0, got %d", cacheBytes)
-	}
-	if llcKB < 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: llckb must be >= 0, got %d", llcKB)
-	}
-	if batch < 1 {
-		return harness.Trial{}, fmt.Errorf("cluster: batch size must be >= 1, got %d", batch)
-	}
-	if lingerNS < 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: linger must be >= 0 ns, got %g", lingerNS)
-	}
-	switch faultKind {
-	case "", "crash", "stall", "socket", "churn":
-	default:
-		return harness.Trial{}, fmt.Errorf("cluster: unknown fault %q (want crash, stall, socket or churn)", faultKind)
-	}
-	if faultKind != "" && faultKind != "stall" && !replicate {
-		return harness.Trial{}, fmt.Errorf("cluster: fault=%s needs a standby to fail over to; set replicate", faultKind)
-	}
-	if faultAt < 0 || faultAt > 1 {
-		return harness.Trial{}, fmt.Errorf("cluster: faultat is a fraction of the measured window, got %g", faultAt)
-	}
-	if detectNS < 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: detect must be >= 0 ns, got %g", detectNS)
-	}
-	var nativeScan bool
-	switch scanMode {
-	case "native":
-		nativeScan = true
-	case "emulate":
-	default:
-		return harness.Trial{}, fmt.Errorf("cluster: unknown scanmode %q (want emulate or native)", scanMode)
-	}
-	if offered <= 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: offered load must be positive, got %g", offered)
-	}
-	if tenants < 1 {
-		return harness.Trial{}, fmt.Errorf("cluster: need at least one tenant, got %d", tenants)
-	}
-	if hotKeys == 0 {
-		hotKeys = keys/20 + 1
-	}
-	tens := make([]service.Tenant, tenants)
-	for i := range tens {
-		tens[i] = service.Tenant{Name: fmt.Sprintf("t%d", i)}
-		switch mix {
-		case "zipf":
-			tens[i].Theta = theta
-		case "uniform":
-		case "split":
-			if i%2 == 0 {
-				tens[i].Theta = theta
-			}
-		case "hotspot":
-			tens[i].HotFrac = hotFrac
-			tens[i].HotKeys = hotKeys
-			tens[i].HotPeriod = hotPeriod
-		case "hotsplit":
-			// Tenant 0 is the skewed hot-range tenant; the rest stay
-			// uniform, so shed accounting shows who a hot shard drops.
-			if i == 0 {
-				tens[i].HotFrac = hotFrac
-				tens[i].HotKeys = hotKeys
-				tens[i].HotPeriod = hotPeriod
-			}
-		default:
-			return harness.Trial{}, fmt.Errorf("cluster: unknown key mix %q (want zipf, uniform, split, hotspot or hotsplit)", mix)
-		}
-	}
-
-	cfg := platform.DefaultConfig()
-	cfg.TrackData = true
-	cfg.XP.Wear.Enabled = false
-	if llcKB > 0 {
-		// See runPoint: cache scenarios shrink the LLC so the working set
-		// actually reaches the memory tiers.
-		cfg.LLC.Lines = int(llcKB << 10 / 64)
-	}
-	p := platform.MustNew(cfg)
-	defer p.Close()
-
-	cl, err := New(p, Config{
-		Policy: policy, Shards: shards, Workers: spec.Threads,
-		DIMMs: dimms, CapPerDIMM: capDIMM, ClientSocket: spec.Socket,
-		Span: span, QueueCap: qcap,
-		Backend: backend,
-		Spec: service.BackendSpec{
-			Media: media, Mode: mode,
-			Keys: int64(tenants) * keys, KeySize: keySize, ValSize: valSize,
-			PMBytes: pmBytes, DRAMBytes: dramBytes,
-			ScanSpan: keys, NativeScan: nativeScan,
-		},
-		PutLog: putlog, Replicate: replicate,
-		CacheBytes: cacheBytes, CacheQuota: quotaBytes,
-		CacheAdmit: admit, CacheEvict: evict,
-		CacheTenantSpan: keys, CacheSeed: spec.Seed ^ 0x407C,
-	})
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	arr, err := service.NewArrival(arrival, offered*1e3, sim.Micros(cycleUS), onFrac, spec.Seed^0x5A17)
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	// The fault schedule is a pure function of the point spec (seed, window,
-	// fault params), built on the serving clock: event time 0 is serving
-	// start, so faultat=f fires f of the way into the measured window.
-	var faults []fault.Event
-	if faultKind != "" {
-		at := spec.Warmup + sim.Time(faultAt*float64(spec.Duration))
 		switch faultKind {
-		case "crash":
-			faults = fault.Point(fault.Crash, faultShard, at, 0)
-		case "stall":
-			faults = fault.Point(fault.Stall, faultShard, at, sim.Nanos(faultDurNS))
-		case "socket":
-			// A whole-socket loss crashes every shard whose data lives on the
-			// lost socket — the placement resolves which ones those are.
-			var lost []int
-			for i, sp := range cl.Placement.Shards {
-				if sp.DataSocket == faultSocket {
-					lost = append(lost, i)
-				}
-			}
-			if len(lost) == 0 {
-				return harness.Trial{}, fmt.Errorf("cluster: no shard's data lives on socket %d", faultSocket)
-			}
-			faults = fault.SocketLoss(lost, at)
-		case "churn":
-			faults, err = fault.Churn(fault.ChurnConfig{
-				Seed:   spec.Seed ^ 0xFA01,
-				Shards: shards,
-				Start:  at, End: spec.Warmup + spec.Duration,
-				Period:   sim.Micros(churnPeriodUS),
-				DownFrac: churnDown, Jitter: churnJitter,
-			})
-			if err != nil {
-				return harness.Trial{}, err
-			}
+		case "", "crash", "stall", "socket", "churn":
+		default:
+			return nil, fmt.Errorf("cluster: unknown fault %q (want crash, stall, socket or churn)", faultKind)
 		}
-	}
-	// Tracing mirrors the single-node point scenario: a recorder keyed off
-	// the spec's Trace flag (never a param, so seeds and results are
-	// untouched), with cluster-wide probes merged across the shard fabric.
-	var rec *telemetry.Recorder
-	var cacheStats func() (int64, int64)
-	if spec.Trace {
-		rec = telemetry.NewRecorder(service.TraceInterval(spec.Duration), 0)
-		if putlog {
-			rec.AddProbe(func(add func(string, float64)) {
-				var c pmem.Counters
-				for i := range cl.Shards {
-					if pl := cl.Shards[i].PutLog; pl != nil {
-						cc := pl.Counters()
-						c.Merge(&cc)
+		if faultKind != "" && faultKind != "stall" && !replicate {
+			return nil, fmt.Errorf("cluster: fault=%s needs a standby to fail over to; set replicate", faultKind)
+		}
+		if faultAt < 0 || faultAt > 1 {
+			return nil, fmt.Errorf("cluster: faultat is a fraction of the measured window, got %g", faultAt)
+		}
+		if detectNS < 0 {
+			return nil, fmt.Errorf("cluster: detect must be >= 0 ns, got %g", detectNS)
+		}
+		cl, err := New(fs.Platform, Config{
+			Policy: policy, Shards: shards, Workers: spec.Threads,
+			DIMMs: dimms, CapPerDIMM: capDIMM, ClientSocket: spec.Socket,
+			Span: span, QueueCap: fs.QueueCap,
+			Backend: fs.Backend, Spec: fs.BackendSpec,
+			PutLog: fs.PutLog, LogRegion: fs.LogRegion, Replicate: replicate,
+			CacheBytes: fs.Cache.CapacityBytes, CacheQuota: fs.Cache.QuotaBytes,
+			CacheAdmit: fs.Cache.Admit, CacheEvict: fs.Cache.Policy,
+			CacheTenantSpan: fs.Cache.TenantSpan, CacheSeed: fs.Cache.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		// The fault schedule is a pure function of the point spec (seed,
+		// window, fault params), built on the serving clock: event time 0 is
+		// serving start, so faultat=f fires f of the way into the measured
+		// window.
+		var faults []fault.Event
+		if faultKind != "" {
+			at := spec.Warmup + sim.Time(faultAt*float64(spec.Duration))
+			switch faultKind {
+			case "crash":
+				faults = fault.Point(fault.Crash, faultShard, at, 0)
+			case "stall":
+				faults = fault.Point(fault.Stall, faultShard, at, sim.Nanos(faultDurNS))
+			case "socket":
+				// A whole-socket loss crashes every shard whose data lives on
+				// the lost socket — the placement resolves which ones those
+				// are.
+				var lost []int
+				for i, sp := range cl.Placement.Shards {
+					if sp.DataSocket == faultSocket {
+						lost = append(lost, i)
 					}
 				}
-				c.Gauges(add)
+				if len(lost) == 0 {
+					return nil, fmt.Errorf("cluster: no shard's data lives on socket %d", faultSocket)
+				}
+				faults = fault.SocketLoss(lost, at)
+			case "churn":
+				faults, err = fault.Churn(fault.ChurnConfig{
+					Seed:   spec.Seed ^ 0xFA01,
+					Shards: shards,
+					Start:  at, End: spec.Warmup + spec.Duration,
+					Period:   sim.Micros(churnPeriodUS),
+					DownFrac: churnDown, Jitter: churnJitter,
+				})
+				if err != nil {
+					return nil, err
+				}
+			}
+		}
+		cfg.Shards, cfg.Route = cl.Shards, cl.Route
+		cfg.Faults, cfg.Detect = faults, sim.Nanos(detectNS)
+		f := &service.Fabric{Workers: cl.TotalWorkers()}
+		if fs.Tier == "hot" {
+			f.Cache = cl.CacheCounters
+		}
+		f.Metrics = func(m map[string]float64, res *service.Result, dw *devstat.Watcher) {
+			m["workers"] = float64(f.Workers)
+			m["remote_shards"] = float64(cl.Placement.RemoteShards())
+			maxShare := 0.0
+			for i := range res.Shards {
+				sh := &res.Shards[i]
+				share := 0.0
+				if res.Completed > 0 {
+					share = float64(sh.Completed) / float64(res.Completed)
+				}
+				if share > maxShare {
+					maxShare = share
+				}
+				m[fmt.Sprintf("s%d_share", i)] = share
+				m[fmt.Sprintf("s%d_p99_ns", i)] = sh.Latency.Percentile(0.99)
+				m[fmt.Sprintf("s%d_drop_frac", i)] = service.DropFrac(sh.Dropped, sh.Offered)
+				m[fmt.Sprintf("s%d_qmax", i)] = float64(sh.MaxQueueLen)
+			}
+			m["max_shard_share"] = maxShare
+			// Per-shard device health, gated with RunPoint's per-DIMM
+			// readout: attribution through the placement's (socket,
+			// channel-set), the namespace→DIMM-set mapping the cluster
+			// pinned when it carved each shard's backend.
+			harness.GateMetrics(m, dw != nil, func(m map[string]float64) {
+				w := dw.Window()
+				for i, sp := range cl.Placement.Shards {
+					w.GroupMetrics(m, fmt.Sprintf("shard%d", i), sp.DataSocket, sp.Channels)
+				}
+			})
+			// Replication shipping/replay readout, gated on the pairs
+			// existing (unreplicated runs stay byte-stable).
+			harness.GateMetrics(m, replicate, func(m map[string]float64) {
+				rs := cl.ReplStats()
+				m["ship_batches"] = float64(rs.ShipBatches)
+				m["ship_recs"] = float64(rs.ShipRecs)
+				m["ship_bytes"] = float64(rs.ShipBytes)
+				m["failovers"] = float64(rs.Failovers)
+				m["replay_batches"] = float64(rs.ReplayBatches)
+				m["replay_recs"] = float64(rs.ReplayRecs)
+				m["lost_recs"] = float64(rs.LostRecs)
+				m["repl_leaves"] = float64(rs.Leaves)
+				m["repl_joins"] = float64(rs.Joins)
+				m["catchup_recs"] = float64(rs.CatchupRecs)
+			})
+			// Failover outcome readout, gated on faults actually being
+			// scheduled. Worst-case promote/recovery latencies across
+			// shards, plus the during-failover-window latency distribution
+			// and shed count.
+			harness.GateMetrics(m, len(faults) > 0, func(m map[string]float64) {
+				var crashes, wops, shed int64
+				var promote, recovery float64
+				wl := stats.NewHistogram()
+				for i := range res.Failover {
+					fo := &res.Failover[i]
+					crashes += fo.Crashes
+					wops += fo.WindowOps
+					shed += fo.ShedWindow
+					if fo.PromoteNS > promote {
+						promote = fo.PromoteNS
+					}
+					if fo.RecoveryNS > recovery {
+						recovery = fo.RecoveryNS
+					}
+					if fo.WindowLatency != nil {
+						wl.Merge(fo.WindowLatency)
+					}
+				}
+				m["crashes"] = float64(crashes)
+				m["promote_ns"] = promote
+				m["recovery_ns"] = recovery
+				m["failover_window_ops"] = float64(wops)
+				m["failover_p99_ns"] = wl.Percentile(0.99)
+				m["failover_shed_ops"] = float64(shed)
 			})
 		}
-		service.AddDeviceProbes(rec, p)
-		if cacheBytes > 0 {
-			rec.AddProbe(func(add func(string, float64)) { cl.CacheCounters().Gauges(add) })
-			cacheStats = func() (int64, int64) {
-				c := cl.CacheCounters()
-				return c.Hits, c.Misses
-			}
-		}
-	}
-	// The devstat watcher captures device-counter snapshots at the measured
-	// window's boundaries on its own read-only proc; see runPoint.
-	var dw *devstat.Watcher
-	if devOn {
-		dw = devstat.Watch(p, spec.Socket, spec.Warmup, spec.Duration)
-	}
-	res, err := service.Serve(service.Config{
-		Platform: p, Socket: spec.Socket,
-		Shards: cl.Shards, Route: cl.Route,
-		Arrival: arr, Tenants: tens,
-		Keys: keys, KeySize: keySize, ValSize: valSize,
-		GetFrac: getFrac, PutFrac: putFrac, ScanFrac: scanFrac, DelFrac: delFrac,
-		ScanLen:  scanLen,
-		Duration: spec.Duration, Warmup: spec.Warmup,
-		Poll: sim.Nanos(pollNS), Seed: spec.Seed,
-		BatchSize: batch, BatchLinger: sim.Nanos(lingerNS),
-		Faults: faults, Detect: sim.Nanos(detectNS),
-		Recorder: rec, CacheStats: cacheStats,
+		return f, nil
 	})
-	if err != nil {
-		return harness.Trial{}, err
-	}
-
-	workers := cl.TotalWorkers()
-	qs := res.Latency.Quantiles([]float64{0.5, 0.95, 0.99, 0.999})
-	m := map[string]float64{
-		"offered_kops":  res.OfferedRate / 1e3,
-		"achieved_kops": res.AchievedRate / 1e3,
-		"drop_frac":     dropFrac(res.Dropped, res.Offered),
-		"p50_ns":        qs[0],
-		"p95_ns":        qs[1],
-		"p99_ns":        qs[2],
-		"p999_ns":       qs[3],
-		"util":          res.Utilization(workers),
-		"qmax":          float64(res.MaxQueueLen),
-		"workers":       float64(workers),
-		"remote_shards": float64(cl.Placement.RemoteShards()),
-	}
-	maxShare := 0.0
-	for i := range res.Shards {
-		sh := &res.Shards[i]
-		share := 0.0
-		if res.Completed > 0 {
-			share = float64(sh.Completed) / float64(res.Completed)
-		}
-		if share > maxShare {
-			maxShare = share
-		}
-		m[fmt.Sprintf("s%d_share", i)] = share
-		m[fmt.Sprintf("s%d_p99_ns", i)] = sh.Latency.Percentile(0.99)
-		m[fmt.Sprintf("s%d_drop_frac", i)] = dropFrac(sh.Dropped, sh.Offered)
-		m[fmt.Sprintf("s%d_qmax", i)] = float64(sh.MaxQueueLen)
-	}
-	m["max_shard_share"] = maxShare
-	for i := range res.Tenants {
-		t := &res.Tenants[i]
-		m[fmt.Sprintf("t%d_p99_ns", i)] = t.Latency.Percentile(0.99)
-		m[fmt.Sprintf("t%d_drop_frac", i)] = dropFrac(t.Dropped, t.Offered)
-		harness.GateMetric(m, res.Dropped > 0, fmt.Sprintf("t%d_shed_ops", i), float64(t.Dropped))
-	}
-	// Fence-amortization readout across every shard's append logs, gated
-	// on the batch path being on (batch=1 keeps pre-batching scenario
-	// output byte-stable).
-	harness.GateMetrics(m, batch > 1 && putlog, func(m map[string]float64) {
-		var c pmem.Counters
-		for i := range cl.Shards {
-			if pl := cl.Shards[i].PutLog; pl != nil {
-				cc := pl.Counters()
-				c.Merge(&cc)
-			}
-		}
-		c.Metrics(m)
-	})
-	// Cache-tier readout merged across shards, gated on the tier being on
-	// (cache-less runs stay byte-stable).
-	harness.GateMetrics(m, cacheBytes > 0, func(m map[string]float64) {
-		cl.CacheCounters().Metrics(m)
-	})
-	// Device-health readout, gated on the devstat param (absent ⇒ zero
-	// dev_* keys, so pre-existing scenario output stays byte-identical):
-	// per-DIMM health metrics plus per-shard attribution through the
-	// placement's (socket, channel-set) — the namespace→DIMM-set mapping
-	// the cluster pinned when it carved each shard's backend.
-	harness.GateMetrics(m, dw != nil, func(m map[string]float64) {
-		w := dw.Window()
-		w.Metrics(m)
-		for i, sp := range cl.Placement.Shards {
-			w.GroupMetrics(m, fmt.Sprintf("shard%d", i), sp.DataSocket, sp.Channels)
-		}
-	})
-	// Replication shipping/replay readout, gated on the pairs existing
-	// (unreplicated runs stay byte-stable).
-	harness.GateMetrics(m, replicate, func(m map[string]float64) {
-		rs := cl.ReplStats()
-		m["ship_batches"] = float64(rs.ShipBatches)
-		m["ship_recs"] = float64(rs.ShipRecs)
-		m["ship_bytes"] = float64(rs.ShipBytes)
-		m["failovers"] = float64(rs.Failovers)
-		m["replay_batches"] = float64(rs.ReplayBatches)
-		m["replay_recs"] = float64(rs.ReplayRecs)
-		m["lost_recs"] = float64(rs.LostRecs)
-		m["repl_leaves"] = float64(rs.Leaves)
-		m["repl_joins"] = float64(rs.Joins)
-		m["catchup_recs"] = float64(rs.CatchupRecs)
-	})
-	// Failover outcome readout, gated on faults actually being scheduled.
-	// Worst-case promote/recovery latencies across shards, plus the
-	// during-failover-window latency distribution and shed count.
-	harness.GateMetrics(m, len(faults) > 0, func(m map[string]float64) {
-		var crashes, wops, shed int64
-		var promote, recovery float64
-		wl := stats.NewHistogram()
-		for i := range res.Failover {
-			fs := &res.Failover[i]
-			crashes += fs.Crashes
-			wops += fs.WindowOps
-			shed += fs.ShedWindow
-			if fs.PromoteNS > promote {
-				promote = fs.PromoteNS
-			}
-			if fs.RecoveryNS > recovery {
-				recovery = fs.RecoveryNS
-			}
-			if fs.WindowLatency != nil {
-				wl.Merge(fs.WindowLatency)
-			}
-		}
-		m["crashes"] = float64(crashes)
-		m["promote_ns"] = promote
-		m["recovery_ns"] = recovery
-		m["failover_window_ops"] = float64(wops)
-		m["failover_p99_ns"] = wl.Percentile(0.99)
-		m["failover_shed_ops"] = float64(shed)
-	})
-	tr := harness.Trial{
-		Ops:     res.Completed,
-		Sim:     res.Window,
-		Latency: res.Latency,
-		Metrics: m,
-	}
-	if rec != nil {
-		run := rec.Finish("")
-		run.Metrics(m)
-		tr.Trace = &telemetry.Trace{Runs: []*telemetry.Run{run}}
-	}
-	return tr, nil
-}
-
-func dropFrac(dropped, offered int64) float64 {
-	if offered == 0 {
-		return 0
-	}
-	return float64(dropped) / float64(offered)
 }
 
 // runClusterSweep fans a load grid out over cluster/point trials, one

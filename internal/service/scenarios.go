@@ -6,10 +6,8 @@ import (
 	"maps"
 	"strings"
 
-	"optanestudy/internal/devstat"
 	"optanestudy/internal/harness"
 	"optanestudy/internal/hottier"
-	"optanestudy/internal/platform"
 	"optanestudy/internal/sim"
 	"optanestudy/internal/telemetry"
 )
@@ -208,298 +206,44 @@ func init() {
 	})
 }
 
-// runPoint measures one open-loop load level.
+// runPoint measures one open-loop load level on a single node: one
+// backend, behind a hot tier or on a Memory-Mode near cache, and one
+// append log, served on Serve's flat fields. It stays off the sharded
+// path because flat dispatch draws each key after admission, and every
+// single-node result depends on that RNG order.
 func runPoint(spec harness.Spec) (harness.Trial, error) {
-	r := harness.NewParamReader(spec.Params)
-	backend := r.Str("backend", "pmemkv")
-	media := r.Str("media", "optane")
-	mode := r.Str("mode", "wal-flex")
-	arrival := r.Str("arrival", "poisson")
-	offered := r.Float("offered", 4000) // kops
-	cycleUS := r.Float("cycle", 20)
-	onFrac := r.Float("onfrac", 0.25)
-	tenants := r.Int("tenants", 2)
-	theta := r.Float("theta", 0.99)
-	mix := r.Str("mix", "split")
-	hotFrac := r.Float("hotfrac", 0.9)
-	hotKeys := r.Int64("hotkeys", 0)
-	hotPeriod := r.Int64("hotperiod", 2000)
-	keys := r.Int64("keys", 200)
-	keySize := r.Int("keysize", 16)
-	valSize := r.Int("valsize", 128)
-	getFrac := r.Float("get", 0.75)
-	putFrac := r.Float("put", 0.2)
-	scanFrac := r.Float("scan", 0.05)
-	delFrac := r.Float("del", 0)
-	scanLen := r.Int("scanlen", 16)
-	scanMode := r.Str("scanmode", "emulate")
-	putlog := r.Bool("putlog", false)
-	qcap := r.Int("qcap", 0)
-	pollNS := r.Float("poll", 200)
-	batch := r.Int("batch", 1)
-	lingerNS := r.Float("linger", 0)
-	pmBytes := r.Int64("pmbytes", 0)
-	dramBytes := r.Int64("drambytes", 0)
-	cacheBytes := r.Int64("cache", 0)
-	quotaBytes := r.Int64("quota", 0)
-	admit := r.Int("admit", 1)
-	evict := r.Str("evict", "clock")
-	tierKind := r.Str("tier", "")
-	llcKB := r.Int64("llckb", 0)
-	devOn := r.Bool("devstat", false)
-	if err := r.Err(); err != nil {
-		return harness.Trial{}, err
-	}
-	switch tierKind {
-	case "":
-		if cacheBytes > 0 {
-			tierKind = "hot"
+	return RunPoint(spec, harness.NewParamReader(spec.Params), func(fs FabricSpec, cfg *Config) (*Fabric, error) {
+		backend, bs := fs.Backend, fs.BackendSpec
+		if fs.Tier == "memmode" {
+			backend, bs.NearBytes = "memmode", fs.Cache.CapacityBytes
 		}
-	case "hot":
-		if cacheBytes <= 0 {
-			return harness.Trial{}, fmt.Errorf("service: tier=hot needs a positive cache size, got %d", cacheBytes)
-		}
-	case "memmode":
-		if cacheBytes <= 0 {
-			return harness.Trial{}, fmt.Errorf("service: tier=memmode needs a positive cache (near-DRAM) size, got %d", cacheBytes)
-		}
-	default:
-		return harness.Trial{}, fmt.Errorf("service: unknown tier %q (want hot or memmode)", tierKind)
-	}
-	if cacheBytes < 0 {
-		return harness.Trial{}, fmt.Errorf("service: cache must be >= 0, got %d", cacheBytes)
-	}
-	if llcKB < 0 {
-		return harness.Trial{}, fmt.Errorf("service: llckb must be >= 0, got %d", llcKB)
-	}
-	if batch < 1 {
-		return harness.Trial{}, fmt.Errorf("service: batch size must be >= 1, got %d", batch)
-	}
-	if lingerNS < 0 {
-		return harness.Trial{}, fmt.Errorf("service: linger must be >= 0 ns, got %g", lingerNS)
-	}
-	var nativeScan bool
-	switch scanMode {
-	case "native":
-		nativeScan = true
-	case "emulate":
-	default:
-		return harness.Trial{}, fmt.Errorf("service: unknown scanmode %q (want emulate or native)", scanMode)
-	}
-	if offered <= 0 {
-		return harness.Trial{}, fmt.Errorf("service: offered load must be positive, got %g", offered)
-	}
-	if tenants < 1 {
-		return harness.Trial{}, fmt.Errorf("service: need at least one tenant, got %d", tenants)
-	}
-
-	cfg := platform.DefaultConfig()
-	cfg.TrackData = true
-	cfg.XP.Wear.Enabled = false
-	if llcKB > 0 {
-		// Cache scenarios shrink the LLC so the working set actually lives
-		// beyond it: with the calibrated 12 MB LLC, a small keyspace becomes
-		// LLC-resident after warmup and a DRAM tier would measure nothing.
-		cfg.LLC.Lines = int(llcKB << 10 / 64)
-	}
-	p := platform.MustNew(cfg)
-	defer p.Close()
-
-	bspec := BackendSpec{
-		Media: media, Mode: mode,
-		Keys: int64(tenants) * keys, KeySize: keySize, ValSize: valSize,
-		PMBytes: pmBytes, DRAMBytes: dramBytes,
-		ScanSpan: keys, NativeScan: nativeScan,
-	}
-	if tierKind == "memmode" {
-		backend = "memmode"
-		bspec.NearBytes = cacheBytes
-	}
-	be, err := NewBackend(p, backend, bspec)
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	var hotTier *hottier.Tier
-	if tierKind == "hot" {
-		hotTier, err = hottier.New(p, be, hottier.Config{
-			Name: "svc", Socket: spec.Socket,
-			CapacityBytes: cacheBytes, RecordBytes: valSize,
-			Admit: admit, Policy: evict,
-			TenantSpan: keys, QuotaBytes: quotaBytes,
-			Seed: spec.Seed ^ 0x407C,
-		})
+		be, err := NewBackend(fs.Platform, backend, bs)
 		if err != nil {
-			return harness.Trial{}, err
+			return nil, err
 		}
-		be = hotTier
-	}
-	arr, err := NewArrival(arrival, offered*1e3, sim.Micros(cycleUS), onFrac, spec.Seed^0x5A17)
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	var plog *AppendLog
-	if putlog {
-		region := int64(2 << 20)
-		if rec := int64(8 + keySize + valSize); region < 4*rec {
-			region = 4 * rec // oversized records: keep several per wrap
-		}
-		plog, err = NewAppendLog(p, BackendSpec{Media: media}, spec.Threads, region)
-		if err != nil {
-			return harness.Trial{}, err
-		}
-	}
-	if hotKeys == 0 {
-		hotKeys = keys/20 + 1
-	}
-	tens := make([]Tenant, tenants)
-	for i := range tens {
-		tens[i] = Tenant{Name: fmt.Sprintf("t%d", i)}
-		switch mix {
-		case "zipf":
-			tens[i].Theta = theta
-		case "uniform":
-		case "split":
-			// Even tenants are Zipf-skewed, odd tenants uniform.
-			if i%2 == 0 {
-				tens[i].Theta = theta
+		f := &Fabric{Workers: spec.Threads}
+		if fs.Tier == "hot" {
+			tc := fs.Cache
+			tc.Name, tc.Socket = "svc", spec.Socket
+			tier, err := hottier.New(fs.Platform, be, tc)
+			if err != nil {
+				return nil, err
 			}
-		case "hotspot":
-			// Every tenant draws from its own shifting hot window.
-			tens[i].HotFrac = hotFrac
-			tens[i].HotKeys = hotKeys
-			tens[i].HotPeriod = hotPeriod
-		default:
-			return harness.Trial{}, fmt.Errorf("service: unknown key mix %q (want zipf, uniform, split or hotspot)", mix)
+			be, f.Cache = tier, tier.Counters
 		}
-	}
-	mb, isMemMode := be.(*memModeBackend)
-	var rec *telemetry.Recorder
-	var cacheStats func() (int64, int64)
-	if spec.Trace {
-		rec = telemetry.NewRecorder(TraceInterval(spec.Duration), 0)
-		if plog != nil {
-			rec.AddProbe(func(add func(string, float64)) {
-				c := plog.Counters()
-				c.Gauges(add)
-			})
+		if mb, ok := be.(*memModeBackend); ok {
+			f.Near = mb.Stats()
 		}
-		AddDeviceProbes(rec, p)
-		switch {
-		case hotTier != nil:
-			rec.AddProbe(func(add func(string, float64)) { hotTier.Counters().Gauges(add) })
-			cacheStats = func() (int64, int64) {
-				c := hotTier.Counters()
-				return c.Hits, c.Misses
-			}
-		case isMemMode:
-			rec.AddProbe(func(add func(string, float64)) {
-				hits, misses, writebacks := mb.Stats().Stats()
-				add("cache_hits", float64(hits))
-				add("cache_misses", float64(misses))
-				add("memmode_writebacks", float64(writebacks))
-			})
-			cacheStats = func() (int64, int64) {
-				hits, misses, _ := mb.Stats().Stats()
-				return hits, misses
+		var plog *AppendLog
+		if fs.PutLog {
+			plog, err = NewAppendLog(fs.Platform, BackendSpec{Media: bs.Media}, spec.Threads, fs.LogRegion)
+			if err != nil {
+				return nil, err
 			}
 		}
-	}
-	// The devstat watcher captures device-counter snapshots at the measured
-	// window's boundaries on its own read-only proc — it observes the run
-	// without the serving layer knowing, so results are unchanged.
-	var dw *devstat.Watcher
-	if devOn {
-		dw = devstat.Watch(p, spec.Socket, spec.Warmup, spec.Duration)
-	}
-	res, err := Serve(Config{
-		Platform: p, Backend: be,
-		Socket: spec.Socket, Workers: spec.Threads, QueueCap: qcap,
-		Arrival: arr, Tenants: tens,
-		Keys: keys, KeySize: keySize, ValSize: valSize,
-		GetFrac: getFrac, PutFrac: putFrac, ScanFrac: scanFrac, DelFrac: delFrac,
-		ScanLen:  scanLen,
-		PutLog:   plog,
-		Duration: spec.Duration, Warmup: spec.Warmup,
-		Poll: sim.Nanos(pollNS), Seed: spec.Seed,
-		BatchSize: batch, BatchLinger: sim.Nanos(lingerNS),
-		Recorder: rec, CacheStats: cacheStats,
+		cfg.Backend, cfg.Workers, cfg.QueueCap, cfg.PutLog = be, spec.Threads, fs.QueueCap, plog
+		return f, nil
 	})
-	if err != nil {
-		return harness.Trial{}, err
-	}
-
-	qs := res.Latency.Quantiles([]float64{0.5, 0.95, 0.99, 0.999})
-	m := map[string]float64{
-		"offered_kops":  res.OfferedRate / 1e3,
-		"achieved_kops": res.AchievedRate / 1e3,
-		"drop_frac":     dropFrac(res.Dropped, res.Offered),
-		"p50_ns":        qs[0],
-		"p95_ns":        qs[1],
-		"p99_ns":        qs[2],
-		"p999_ns":       qs[3],
-		"util":          res.Utilization(spec.Threads),
-		"qmax":          float64(res.MaxQueueLen),
-	}
-	for i := range res.Tenants {
-		t := &res.Tenants[i]
-		m[fmt.Sprintf("t%d_p99_ns", i)] = t.Latency.Percentile(0.99)
-		m[fmt.Sprintf("t%d_drop_frac", i)] = dropFrac(t.Dropped, t.Offered)
-		// Per-tenant shed accounting appears once the run actually sheds,
-		// keeping the light-load baseline scenarios' output byte-stable
-		// while skewed overload runs show who gets dropped. The gate
-		// depends only on the result, never on the schedule.
-		harness.GateMetric(m, res.Dropped > 0, fmt.Sprintf("t%d_shed_ops", i), float64(t.Dropped))
-	}
-	// Fence-amortization readout, gated on the batch path actually being
-	// on so the batch=1 default keeps every pre-existing scenario's output
-	// byte-stable (group-commit counters would otherwise add keys).
-	harness.GateMetrics(m, batch > 1 && plog != nil, func(m map[string]float64) {
-		c := plog.Counters()
-		c.Metrics(m)
-	})
-	// Cache-tier readout, gated the same way: only runs with an explicit
-	// DRAM tier (software hot tier or Memory-Mode near cache) emit the
-	// cache_* keys, so every pre-existing scenario stays byte-stable.
-	harness.GateMetrics(m, hotTier != nil, func(m map[string]float64) {
-		hotTier.Counters().Metrics(m)
-	})
-	// Device-health readout, gated on the devstat param: absent (the
-	// default) the run emits zero dev_* keys, so every pre-existing
-	// scenario's output stays byte-identical under the neutrality guard.
-	harness.GateMetrics(m, dw != nil, func(m map[string]float64) {
-		dw.Window().Metrics(m)
-	})
-	harness.GateMetrics(m, hotTier == nil && isMemMode, func(m map[string]float64) {
-		hits, misses, writebacks := mb.Stats().Stats()
-		m["cache_hits"] = float64(hits)
-		m["cache_misses"] = float64(misses)
-		m["cache_evictions"] = float64(mb.Stats().Evictions())
-		if hits+misses > 0 {
-			m["cache_hit_rate"] = float64(hits) / float64(hits+misses)
-		} else {
-			m["cache_hit_rate"] = 0
-		}
-		m["memmode_writebacks"] = float64(writebacks)
-	})
-	tr := harness.Trial{
-		Ops:     res.Completed,
-		Sim:     res.Window,
-		Latency: res.Latency,
-		Metrics: m,
-	}
-	if rec != nil {
-		run := rec.Finish("")
-		run.Metrics(m)
-		tr.Trace = &telemetry.Trace{Runs: []*telemetry.Run{run}}
-	}
-	return tr, nil
-}
-
-func dropFrac(dropped, offered int64) float64 {
-	if offered == 0 {
-		return 0
-	}
-	return float64(dropped) / float64(offered)
 }
 
 // runSweepScenario fans a load grid out over point trials, one curve per
