@@ -516,8 +516,6 @@ func TestFig8Inversion(t *testing.T) {
 
 func TestDBCompaction(t *testing.T) {
 	p, pm, dram := newDBPlatform(t)
-	// NOTE: t.Fatal inside a proc goroutine would Goexit without yielding
-	// back to the engine and deadlock the simulation; use t.Error+return.
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		db, err := Open(ctx, Options{Mode: ModeWALFLEX, PM: pm, DRAM: dram,
 			MemtableBytes: 8 << 10, Seed: 11})

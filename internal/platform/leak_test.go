@@ -33,14 +33,60 @@ func TestHundredPlatformsNoGoroutineLeak(t *testing.T) {
 		// The error path leaves the 4 threads parked; Close must reap them.
 		p.Close()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	after := runtime.NumGoroutine()
-	for after > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		after = runtime.NumGoroutine()
-	}
-	if after > before {
+	if after := waitGoroutines(before); after > before {
 		t.Errorf("goroutines leaked across 100 platforms: %d before, %d after", before, after)
+	}
+}
+
+// waitGoroutines polls until the goroutine count drops to at most want, or
+// two seconds pass; it returns the final count.
+func waitGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPanickingThreadNoGoroutineLeak covers the scenario shape around a
+// thread that panics: the panic surfaces from Run, the deferred Close
+// reaps the threads still parked without raising a second panic, and no
+// goroutine is left behind.
+func TestPanickingThreadNoGoroutineLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		cfg := DefaultConfig()
+		cfg.XP.Wear.Enabled = false
+		p := MustNew(cfg)
+		ns, err := p.Optane("pm", 0, 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for th := 0; th < 4; th++ {
+			p.Go("w", 0, func(ctx *MemCtx) {
+				for off := int64(0); ; off += 256 {
+					ctx.PersistNT(ns, off, 256, nil)
+				}
+			})
+		}
+		p.Go("boom", 0, func(ctx *MemCtx) {
+			ctx.PersistNT(ns, 1<<20, 256, nil)
+			panic("boom")
+		})
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			defer p.Close()
+			p.Run()
+			return nil
+		}()
+		if r != "boom" {
+			t.Fatalf("Run under a deferred Close panicked with %v, want %q", r, "boom")
+		}
+	}
+	if after := waitGoroutines(before); after > before {
+		t.Errorf("goroutines leaked across 20 panicking platforms: %d before, %d after", before, after)
 	}
 }
 

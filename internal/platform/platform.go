@@ -109,12 +109,16 @@ func (p *Platform) Go(name string, socket int, fn func(ctx *MemCtx)) {
 
 // Run executes the simulation until all spawned threads finish and returns
 // the simulated time. It may be called repeatedly; time keeps advancing on
-// one timeline.
+// one timeline. A panic in a thread is re-raised in the caller of Run with
+// the same value; afterwards the platform may only be closed, which reaps
+// the threads still parked.
 func (p *Platform) Run() sim.Time { return p.eng.Run() }
 
 // Close tears the platform down, reaping any simulated threads that were
 // spawned but never run to completion (e.g. when a scenario bails out with
-// an error between Go and Run). It is idempotent, a no-op after a normal
+// an error between Go and Run, or a thread's panic ended Run early); their
+// deferred functions run, and Close raises no panic of its own while a
+// caller unwinds from that panic. It is idempotent, a no-op after a normal
 // Run, and required by the harness statelessness contract so that
 // platform-per-trial construction stays goroutine-leak-free under parallel
 // sweeps. The platform must not be used afterwards.

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 )
 
 // Proc is a simulated thread of execution. Procs advance simulated time via
@@ -15,8 +15,11 @@ type Proc struct {
 	now  Time
 	seq  uint64
 
-	resume chan struct{}
-	done   bool
+	// The proc's coroutine: Run resumes it with next, the proc parks by
+	// calling park, and Stop unwinds it with stop.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
 }
 
 // Now returns the proc's current simulated time.
@@ -49,12 +52,11 @@ func (p *Proc) Sleep(d Time) { p.Advance(d) }
 
 func (p *Proc) yield() {
 	e := p.eng
-	// Fast path: if every parked proc is strictly later than this one, the
-	// scheduler would hand control straight back, so skip the park/resume
-	// channel round-trip entirely. Ties must park: FIFO order among equal
-	// times is decided by the heap. Touching e.procs and e.now from the
-	// proc's goroutine is safe because procs run exclusively — Run is
-	// blocked on e.parked until this proc parks or finishes.
+	// Fast path: if every parked proc is strictly later than this one, Run
+	// would resume this proc straight away, so skip the coroutine switch.
+	// Ties must park: FIFO order among equal times is decided by the heap.
+	// Touching e.procs and e.now here is safe because procs run one at a
+	// time: Run is suspended in this proc's next until the proc parks.
 	if len(e.procs) == 0 || p.now < e.procs[0].now {
 		if p.now > e.now {
 			e.now = p.now
@@ -62,9 +64,7 @@ func (p *Proc) yield() {
 		return
 	}
 	p.seq = e.nextSeq()
-	e.parked <- p
-	<-p.resume
-	if e.stopped {
+	if !p.park(struct{}{}) {
 		panic(procStop{})
 	}
 }
@@ -72,22 +72,19 @@ func (p *Proc) yield() {
 // Engine schedules procs in global simulated-time order.
 type Engine struct {
 	procs   procHeap
-	parked  chan *Proc
 	seq     uint64
-	nlive   int
 	nextID  int
 	now     Time
 	stopped bool
 }
 
-// procStop is the sentinel panic Stop uses to unwind a parked proc's
-// goroutine through its deferred handlers. Kernels must not recover it.
+// procStop is the sentinel panic a parked proc raises when Stop ends its
+// coroutine, so that the proc unwinds through its deferred handlers without
+// running further simulation work. Kernels must not recover it.
 type procStop struct{}
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{parked: make(chan *Proc)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the time of the most recently scheduled proc — the global
 // simulation clock.
@@ -106,106 +103,127 @@ func (e *Engine) Go(name string, start Time, fn func(p *Proc)) *Proc {
 		panic("sim: Go on a stopped engine")
 	}
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     e.nextID,
-		now:    start,
-		seq:    e.nextSeq(),
-		resume: make(chan struct{}),
+		eng:  e,
+		name: name,
+		id:   e.nextID,
+		now:  start,
+		seq:  e.nextSeq(),
 	}
 	e.nextID++
-	e.nlive++
-	go func() {
+	p.next, p.stop = iter.Pull(func(park func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(procStop); !ok {
 					panic(r)
 				}
 			}
-			p.done = true
-			e.parked <- p
 		}()
-		<-p.resume
-		if !e.stopped {
-			fn(p)
-		}
-	}()
-	heap.Push(&e.procs, p)
+		p.park = park
+		fn(p)
+	})
+	e.procs.push(p)
 	return p
 }
 
 // Run executes the simulation until every proc has finished. It returns the
 // final simulated time.
+//
+// A panic in a proc is re-raised in the caller of Run with the same value.
+// Its traceback starts at Run: the proc's own frames end with its
+// coroutine. A runtime.Goexit in a proc, such as t.FailNow, likewise ends
+// the goroutine that called Run. The proc is then finished; the engine may
+// afterwards only be stopped, which reaps the procs still parked.
 func (e *Engine) Run() Time {
 	if e.stopped {
 		panic("sim: Run on a stopped engine")
 	}
-	for e.nlive > 0 {
-		if e.procs.Len() == 0 {
-			panic("sim: deadlock: live procs but none runnable")
-		}
-		p := heap.Pop(&e.procs).(*Proc)
+	for len(e.procs) > 0 {
+		p := e.procs.pop()
 		if p.now > e.now {
 			e.now = p.now
 		}
-		p.resume <- struct{}{}
-		back := <-e.parked
-		if back.done {
-			e.nlive--
-			continue
+		if _, parked := p.next(); parked {
+			e.procs.push(p)
 		}
-		heap.Push(&e.procs, back)
 	}
 	return e.now
 }
 
 // Stop tears the engine down: every live proc — spawned but never run, or
-// parked mid-simulation — is resumed one final time and unwound via a
-// sentinel panic so its goroutine exits without running further simulation
-// work (deferred cleanup in kernels still executes). Stop is idempotent and
-// a no-op after a completed Run; the engine must not be used afterwards.
+// parked mid-simulation — is ended in (now, seq) order. A parked proc sees
+// its park fail and unwinds via a sentinel panic, so it runs no further
+// simulation work but its deferred cleanup still executes; a proc that
+// never ran never enters its body. Stop is idempotent and a no-op after a
+// completed Run; the engine must not be used afterwards.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	for e.nlive > 0 {
-		if e.procs.Len() == 0 {
-			panic("sim: Stop: live procs but none parked")
-		}
-		p := heap.Pop(&e.procs).(*Proc)
-		p.resume <- struct{}{}
-		back := <-e.parked
-		if !back.done {
-			heap.Push(&e.procs, back)
-			continue
-		}
-		e.nlive--
+	for len(e.procs) > 0 {
+		e.procs.pop().stop()
 	}
 }
 
 // String reports scheduler state for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v live=%d}", e.now, e.nlive)
+	return fmt.Sprintf("sim.Engine{now=%v live=%d}", e.now, len(e.procs))
 }
 
-// procHeap orders procs by (now, seq): earliest time first, FIFO among ties.
+// procHeap is a binary min-heap of procs ordered by (now, seq): earliest
+// time first, FIFO among ties. seq is unique, so the order is total and the
+// pop sequence does not depend on how the heap arranges its slots.
 type procHeap []*Proc
 
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].now != h[j].now {
-		return h[i].now < h[j].now
+// before reports whether p is ordered ahead of q.
+func (p *Proc) before(q *Proc) bool {
+	if p.now != q.now {
+		return p.now < q.now
 	}
-	return h[i].seq < h[j].seq
+	return p.seq < q.seq
 }
-func (h procHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *procHeap) Push(x any)   { *h = append(*h, x.(*Proc)) }
-func (h *procHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
+
+func (h *procHeap) push(p *Proc) {
+	s := append(*h, p)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !p.before(s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
+	}
+	s[i] = p
+	*h = s
+}
+
+func (h *procHeap) pop() *Proc {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(s[c]) {
+			c = r
+		}
+		if !s[c].before(last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // waitGoroutines polls until the goroutine count drops to at most want, or
-// the deadline passes; it returns the final count. Reaped goroutines need a
-// moment to actually exit after their resume.
+// the deadline passes; it returns the final count. Reaped goroutines may
+// need a moment to actually exit.
 func waitGoroutines(want int) int {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -21,9 +21,9 @@ func waitGoroutines(want int) int {
 	}
 }
 
-// TestStopReapsUnrunProcs covers the teardown contract: procs spawned but
-// never run are parked on their resume channel; Stop must unblock and reap
-// every one of them.
+// TestStopReapsUnrunProcs covers the teardown contract: each proc spawned
+// but never run holds a coroutine goroutine, and Stop must end every one
+// of them.
 func TestStopReapsUnrunProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
@@ -62,4 +62,98 @@ func TestGoAfterStopPanics(t *testing.T) {
 		}
 	}()
 	e.Go("late", 0, func(p *Proc) {})
+}
+
+// runRecovering calls e.Run and returns the value it panicked with, or nil.
+func runRecovering(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestProcPanicSurfacesFromRun pins the panic contract: a proc's panic is
+// re-raised in the caller of Run with the same value, the procs still
+// parked run none of their deferred functions until Stop, and Stop then
+// unwinds each of them exactly once without leaking a goroutine.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e := NewEngine()
+		var unwound [4]int
+		for j := range unwound {
+			e.Go("loop", 0, func(p *Proc) {
+				defer func() { unwound[j]++ }()
+				for {
+					p.Advance(Nanosecond)
+				}
+			})
+		}
+		e.Go("boom", 0, func(p *Proc) {
+			p.Advance(5 * Nanosecond)
+			panic("boom")
+		})
+		if r := runRecovering(e); r != "boom" {
+			t.Fatalf("Run panicked with %v, want %q", r, "boom")
+		}
+		if unwound != [4]int{} {
+			t.Fatalf("deferred counts before Stop = %v, want all 0", unwound)
+		}
+		e.Stop()
+		if unwound != [4]int{1, 1, 1, 1} {
+			t.Fatalf("deferred counts after Stop = %v, want all 1", unwound)
+		}
+	}
+	if after := waitGoroutines(before); after > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestStopUnwindsParkedProcs pins what Stop's doc promises beyond reaping:
+// a proc parked mid-loop runs its deferred function exactly once and none
+// of the code after the advance it parked in, a proc that never ran never
+// enters its body, and the parked procs unwind in (now, seq) order. A
+// panicking proc is what leaves procs parked mid-run when Run gives up.
+func TestStopUnwindsParkedProcs(t *testing.T) {
+	type unwind struct {
+		now Time
+		seq uint64
+	}
+	e := NewEngine()
+	var order []unwind
+	stopping := false
+	// Proc k ticks every k ns, so at the panic (11 ns) the procs are
+	// parked at 11, 12, 12, 12, 15 and 12 ns: four ties on 12 ns, parked
+	// at different instants, so seq decides their order.
+	for k := 1; k <= 6; k++ {
+		e.Go("loop", 0, func(p *Proc) {
+			defer func() { order = append(order, unwind{p.now, p.seq}) }()
+			for {
+				p.Advance(Time(k) * Nanosecond)
+				if stopping {
+					t.Errorf("proc %d ran past its parking advance at %v", p.ID(), p.Now())
+				}
+			}
+		})
+	}
+	e.Go("never-run", Microsecond, func(p *Proc) {
+		t.Error("a proc that never ran entered its body")
+	})
+	e.Go("boom", 0, func(p *Proc) {
+		p.Advance(11 * Nanosecond)
+		panic("boom")
+	})
+	if r := runRecovering(e); r != "boom" {
+		t.Fatalf("Run panicked with %v, want %q", r, "boom")
+	}
+	stopping = true
+	e.Stop()
+	if len(order) != 6 {
+		t.Fatalf("%d deferred functions ran, want 6: %v", len(order), order)
+	}
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if a.now > b.now || a.now == b.now && a.seq >= b.seq {
+			t.Fatalf("unwound out of (now, seq) order: %v", order)
+		}
+	}
 }
