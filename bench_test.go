@@ -1,7 +1,7 @@
 // Benchmarks driving the unified harness (internal/harness): the figure
 // regenerations and the headline scenarios run through exactly the specs
-// the cmd/* CLIs execute, so `go test -bench .` and the CLIs can never
-// disagree. Ablation benchmarks isolate the microarchitectural mechanisms
+// cmd/bench executes, so `go test -bench .` and the bench command can
+// never disagree. Ablation benchmarks isolate the microarchitectural mechanisms
 // DESIGN.md calls out.
 package optanestudy_test
 
@@ -158,7 +158,7 @@ func BenchmarkFig19PMemKV(b *testing.B) {
 	})
 }
 
-// ---- Headline scenarios: the same specs the CLIs run ----
+// ---- Headline scenarios: the same specs the bench command runs ----
 
 func BenchmarkScenarioSeqRead(b *testing.B) {
 	benchSpec(b, harness.Spec{

@@ -6,14 +6,14 @@
 #
 # Scope: non-test sources under internal/ (which covers internal/devstat)
 # plus the render/diff CLIs whose output CI cmp-pins byte-for-byte
-# (cmd/tracereport, cmd/xpstat, cmd/benchdiff). The one allowlisted site is
+# (cmd/tracereport, cmd/benchdiff). The one allowlisted site is
 # the harness job runner, which stamps wall-clock elapsed time into a
 # result field that -deterministic zeroes.
 set -eu
 cd "$(dirname "$0")/.."
 
 allow='internal/harness/job.go'
-scope='internal/ cmd/tracereport cmd/xpstat cmd/benchdiff'
+scope='internal/ cmd/tracereport cmd/benchdiff'
 fail=0
 
 hits=$(grep -rn --include='*.go' --exclude='*_test.go' 'time\.Now(' $scope | grep -v "^$allow:" || true)

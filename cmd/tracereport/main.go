@@ -1,16 +1,29 @@
 // Command tracereport renders an optanestudy-trace/v1 JSONL stream (the
-// -trace output of the bench CLIs) for humans: a per-run phase-breakdown
-// table and top-K slowest-ops table, or, with -timeline, each run's
-// timeline as CSV with the cumulative counters differenced into
-// per-interval rates (throughput, shed fraction, queue depth, per-shard
-// share, windowed EWR, cache hit rate, batch fill), with fault/failover
-// markers folded into an events column on runs that carry them.
+// -trace output of the bench command) for humans, in one of three views:
+//
+//   - spans (the default): per run, a phase-breakdown table, the slowest
+//     ops and the fault/failover events;
+//   - timeline: each run's timeline as CSV, the cumulative counters
+//     differenced into per-interval rates (throughput, shed fraction,
+//     queue depth, per-shard share, windowed EWR, cache hit rate, batch
+//     fill, per-DIMM bandwidth and WPQ stall), with fault/failover markers
+//     folded into an events column on runs that carry them;
+//   - dimms: a per-DIMM utilization table over time, the simulator's
+//     answer to `ipmctl show -performance`: effective bandwidth, write and
+//     media write bandwidth, windowed EWR, XPBuffer hit rate and WPQ stall
+//     fraction, one row per active DIMM per interval.
+//
+// Both interval views walk the timeline the same way and render every
+// -every'th interval. Everything rendered derives from the trace's
+// sim-time samples, so the output is byte-identical at any -parallel width
+// of the producing run.
 //
 // Usage:
 //
 //	tracereport trace.jsonl
-//	tracereport -timeline trace.jsonl > timeline.csv
-//	servebench -trace=/dev/stdout cluster/hotspot | tracereport -timeline -
+//	tracereport -view timeline trace.jsonl > timeline.csv
+//	tracereport -view dimms -every 4 trace.jsonl
+//	tracereport -view dimms - < trace.jsonl
 package main
 
 import (
@@ -34,15 +47,28 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: tracereport [flags] <trace.jsonl | ->\n\nflags:\n")
 		fs.PrintDefaults()
 	}
-	timeline := fs.Bool("timeline", false, "render each run's timeline as interval-differenced CSV instead of the span tables")
+	view := fs.String("view", "spans", "what to render: spans (phase, slowest-op and event tables), timeline (interval-differenced CSV) or dimms (per-DIMM utilization table)")
+	every := fs.Int("every", 1, "render every Nth timeline interval (timeline and dimms views)")
 	if err := fs.Parse(argv); err != nil {
 		if err == flag.ErrHelp {
 			return 0
 		}
 		return 2
 	}
-	if fs.NArg() != 1 {
+	if fs.NArg() != 1 || *every < 1 {
 		fs.Usage()
+		return 2
+	}
+	var render func(w io.Writer, title string, rn *telemetry.Run, every int)
+	switch *view {
+	case "spans":
+		render = renderSpans
+	case "timeline":
+		render = renderTimeline
+	case "dimms":
+		render = renderDIMMs
+	default:
+		fmt.Fprintf(stderr, "tracereport: unknown -view %q (want spans, timeline or dimms)\n", *view)
 		return 2
 	}
 	var in io.Reader = os.Stdin
@@ -66,19 +92,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			if rn.Label != "" {
 				title += " [" + rn.Label + "]"
 			}
-			if *timeline {
-				renderTimeline(stdout, title, rn)
-			} else {
-				renderRun(stdout, title, rn)
-			}
+			render(stdout, title, rn, *every)
 		}
 	}
 	return 0
 }
 
-// renderRun prints one run's phase breakdown, slowest-ops and
-// fault/failover-event tables.
-func renderRun(w io.Writer, title string, rn *telemetry.Run) {
+// renderSpans prints one run's phase breakdown, slowest-ops and
+// fault/failover-event tables. It has no intervals, so every is unused.
+func renderSpans(w io.Writer, title string, rn *telemetry.Run, _ int) {
 	fmt.Fprintf(w, "== %s  ops=%d sheds=%d samples=%d\n", title, rn.Ops, rn.Sheds, len(rn.Samples))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "phase\tcount\tmean_ns\tp50_ns\tp99_ns\tmax_ns")
@@ -121,59 +143,21 @@ func renderRun(w io.Writer, title string, rn *telemetry.Run) {
 	fmt.Fprintln(w)
 }
 
-// renderTimeline differences one run's cumulative samples into per-interval
-// rates and prints them as CSV. Derived gauge columns appear only when the
-// run carries the gauges they need: cache runs get a hit-rate column,
-// group-commit runs a batch-fill column, every probed socket a summed
-// windowed-EWR column, and every active DIMM its own windowed EWR,
-// effective bandwidth (GB/s) and WPQ-stall-fraction columns.
-func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
+// renderTimeline prints one run's intervals as CSV. Derived gauge columns
+// appear only when the run carries the gauges they need: cache runs get a
+// hit-rate column, group-commit runs a batch-fill column, every probed
+// socket a summed windowed-EWR column, and every active DIMM its own
+// windowed EWR, effective bandwidth (GB/s) and WPQ-stall-fraction columns.
+func renderTimeline(w io.Writer, title string, rn *telemetry.Run, every int) {
 	if len(rn.Samples) == 0 {
 		return
 	}
 	first := rn.Samples[0]
+	has := func(name string) bool { _, ok := gauge(first, name); return ok }
 	shards := len(first.Shards)
-	gv := func(s telemetry.Sample, name string) (float64, bool) {
-		for _, g := range s.Gauges {
-			if g.Name == name {
-				return g.Value, true
-			}
-		}
-		return 0, false
-	}
-	has := func(name string) bool { _, ok := gv(first, name); return ok }
 	hasCache := has("cache_hits")
 	hasBatch := has("pmem_batches")
-	// Per-DIMM device gauges: discover the probed geometry from the first
-	// sample, then restrict the per-DIMM columns to modules that actually
-	// moved controller bytes by the end of the run (the cumulative counters
-	// in the last sample — a measured result, so the column set is
-	// deterministic). The per-socket EWR columns are kept as the per-DIMM
-	// sums.
-	type dimmKey struct{ s, c int }
-	var dimms []dimmKey
-	nsock := 0
-	for s := 0; ; s++ {
-		if !has(fmt.Sprintf("xp_ctrl_write_bytes_s%dc0", s)) {
-			break
-		}
-		nsock = s + 1
-		for c := 0; ; c++ {
-			if !has(fmt.Sprintf("xp_ctrl_write_bytes_s%dc%d", s, c)) {
-				break
-			}
-			dimms = append(dimms, dimmKey{s, c})
-		}
-	}
-	last := rn.Samples[len(rn.Samples)-1]
-	var active []dimmKey
-	for _, d := range dimms {
-		r, _ := gv(last, fmt.Sprintf("xp_ctrl_read_bytes_s%dc%d", d.s, d.c))
-		w, _ := gv(last, fmt.Sprintf("xp_ctrl_write_bytes_s%dc%d", d.s, d.c))
-		if r+w > 0 {
-			active = append(active, d)
-		}
-	}
+	dimms, active, nsock := probedDIMMs(rn)
 
 	fmt.Fprintf(w, "# %s\n", title)
 	cols := []string{"t_us", "offered_kops", "completed_kops", "shed_frac", "qdepth", "qdepth_mean"}
@@ -190,10 +174,7 @@ func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
 		cols = append(cols, fmt.Sprintf("ewr_s%d", s))
 	}
 	for _, d := range active {
-		cols = append(cols,
-			fmt.Sprintf("ewr_s%dc%d", d.s, d.c),
-			fmt.Sprintf("bw_s%dc%d", d.s, d.c),
-			fmt.Sprintf("stall_s%dc%d", d.s, d.c))
+		cols = append(cols, "ewr"+d.suffix(), "bw"+d.suffix(), "stall"+d.suffix())
 	}
 	hasEvents := len(rn.Events) > 0
 	if hasEvents {
@@ -201,28 +182,17 @@ func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
 	}
 	fmt.Fprintln(w, strings.Join(cols, ","))
 
-	ratio := func(num, den float64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return num / den
-	}
-	prev := telemetry.Sample{} // the window opens at t=0 with zero counters
 	nextEvent := 0
-	for _, s := range rn.Samples {
-		dtNS := float64(s.TNS - prev.TNS)
-		if dtNS <= 0 {
-			prev = s
-			continue
-		}
+	eachInterval(rn, every, func(iv interval) {
+		s, prev := iv.cur, iv.prev
 		dOff := float64(s.Offered - prev.Offered)
 		dDone := float64(s.Completed - prev.Completed)
 		dDrop := float64(s.Dropped - prev.Dropped)
 		row := []string{
 			fmt.Sprintf("%.3f", float64(s.TNS)/1e3),
 			// counts per interval over ns → Mops/s; ×1e3 → kops.
-			fmt.Sprintf("%.4g", dOff/dtNS*1e6),
-			fmt.Sprintf("%.4g", dDone/dtNS*1e6),
+			fmt.Sprintf("%.4g", dOff/iv.dtNS*1e6),
+			fmt.Sprintf("%.4g", dDone/iv.dtNS*1e6),
 			fmt.Sprintf("%.4g", ratio(dDrop, dOff)),
 		}
 		depth, occ := 0, 0.0
@@ -233,7 +203,7 @@ func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
 				occ -= prev.Shards[i].QOccNS
 			}
 		}
-		row = append(row, fmt.Sprintf("%d", depth), fmt.Sprintf("%.4g", occ/dtNS))
+		row = append(row, fmt.Sprintf("%d", depth), fmt.Sprintf("%.4g", occ/iv.dtNS))
 		for i := 0; i < shards; i++ {
 			di := float64(s.Shards[i].Completed)
 			if i < len(prev.Shards) {
@@ -243,19 +213,14 @@ func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
 				fmt.Sprintf("%.4g", ratio(di, dDone)),
 				fmt.Sprintf("%d", s.Shards[i].QDepth))
 		}
-		dg := func(name string) float64 {
-			cur, _ := gv(s, name)
-			old, _ := gv(prev, name)
-			return cur - old
-		}
 		if hasCache {
-			h, m := dg("cache_hits"), dg("cache_misses")
+			h, m := iv.delta("cache_hits"), iv.delta("cache_misses")
 			row = append(row, fmt.Sprintf("%.4g", ratio(h, h+m)))
 		}
 		if hasBatch {
 			row = append(row,
-				fmt.Sprintf("%.4g", ratio(dg("pmem_batch_ops"), dg("pmem_batches"))),
-				fmt.Sprintf("%.4g", ratio(dg("pmem_fences"), dDone)))
+				fmt.Sprintf("%.4g", ratio(iv.delta("pmem_batch_ops"), iv.delta("pmem_batches"))),
+				fmt.Sprintf("%.4g", ratio(iv.delta("pmem_fences"), dDone)))
 		}
 		for sk := 0; sk < nsock; sk++ {
 			var ctrl, media float64
@@ -263,24 +228,22 @@ func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
 				if d.s != sk {
 					continue
 				}
-				ctrl += dg(fmt.Sprintf("xp_ctrl_write_bytes_s%dc%d", d.s, d.c))
-				media += dg(fmt.Sprintf("xp_media_write_bytes_s%dc%d", d.s, d.c))
+				ctrl += iv.delta("xp_ctrl_write_bytes" + d.suffix())
+				media += iv.delta("xp_media_write_bytes" + d.suffix())
 			}
 			row = append(row, fmt.Sprintf("%.4g", ratio(ctrl, media)))
 		}
 		for _, d := range active {
-			ctrlR := dg(fmt.Sprintf("xp_ctrl_read_bytes_s%dc%d", d.s, d.c))
-			ctrlW := dg(fmt.Sprintf("xp_ctrl_write_bytes_s%dc%d", d.s, d.c))
-			media := dg(fmt.Sprintf("xp_media_write_bytes_s%dc%d", d.s, d.c))
-			stall := dg(fmt.Sprintf("xp_wpq_stall_ns_s%dc%d", d.s, d.c))
+			r := iv.dimm(d)
 			row = append(row,
-				fmt.Sprintf("%.4g", ratio(ctrlW, media)),
-				fmt.Sprintf("%.4g", (ctrlR+ctrlW)/dtNS),
-				fmt.Sprintf("%.4g", stall/dtNS))
+				fmt.Sprintf("%.4g", r.ewr),
+				fmt.Sprintf("%.4g", r.bw),
+				fmt.Sprintf("%.4g", r.stall))
 		}
 		if hasEvents {
 			// Every not-yet-emitted marker up to this sample instant lands
-			// in this interval's cell (warmup markers land in the first).
+			// in this row's cell: warmup markers in the first row, markers
+			// of intervals -every skipped in the next rendered one.
 			var marks []string
 			for nextEvent < len(rn.Events) && rn.Events[nextEvent].TNS <= s.TNS {
 				e := rn.Events[nextEvent]
@@ -290,7 +253,145 @@ func renderTimeline(w io.Writer, title string, rn *telemetry.Run) {
 			row = append(row, strings.Join(marks, ";"))
 		}
 		fmt.Fprintln(w, strings.Join(row, ","))
+	})
+	fmt.Fprintln(w)
+}
+
+// renderDIMMs prints one run's per-DIMM utilization rows, one per active
+// DIMM per rendered interval.
+func renderDIMMs(w io.Writer, title string, rn *telemetry.Run, every int) {
+	if len(rn.Samples) == 0 {
+		return
+	}
+	dimms, active, _ := probedDIMMs(rn)
+	if len(dimms) == 0 {
+		fmt.Fprintf(w, "== %s: no per-DIMM device gauges in trace\n\n", title)
+		return
+	}
+	fmt.Fprintf(w, "== %s  samples=%d dimms=%d active=%d\n", title, len(rn.Samples), len(dimms), len(active))
+	if len(active) == 0 {
+		fmt.Fprintln(w)
+		return
+	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "t_us\tdimm\tbw_gbs\twr_gbs\tmedia_wr_gbs\tewr\thit_rate\tstall")
+	eachInterval(rn, every, func(iv interval) {
+		for _, d := range active {
+			r := iv.dimm(d)
+			fmt.Fprintf(tw, "%.3f\ts%dc%d\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\n",
+				float64(iv.cur.TNS)/1e3, d.s, d.c,
+				r.bw, r.wr, r.mediaWr, r.ewr, r.hitRate, r.stall)
+		}
+	})
+	tw.Flush()
+	fmt.Fprintln(w)
+}
+
+// gauge returns a sample's named probe gauge.
+func gauge(s telemetry.Sample, name string) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value, true
+		}
+	}
+	return 0, false
+}
+
+// ratio is num/den, or 0 when den is 0.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// dimm names one probed XP DIMM by socket and channel.
+type dimm struct{ s, c int }
+
+// suffix is the DIMM's gauge-name suffix, "_s<s>c<c>".
+func (d dimm) suffix() string { return fmt.Sprintf("_s%dc%d", d.s, d.c) }
+
+// probedDIMMs finds a run's per-DIMM device gauges (devstat.AddProbes):
+// the probed geometry, socket-major, from the first sample, and the DIMMs
+// that moved controller bytes by the last one. Activity is a measured
+// result, so the active set, and every column or row keyed on it, is
+// deterministic. nsock counts the probed sockets.
+func probedDIMMs(rn *telemetry.Run) (dimms, active []dimm, nsock int) {
+	first, last := rn.Samples[0], rn.Samples[len(rn.Samples)-1]
+	probed := func(s, c int) bool {
+		_, ok := gauge(first, "xp_ctrl_write_bytes"+dimm{s, c}.suffix())
+		return ok
+	}
+	for s := 0; probed(s, 0); s++ {
+		nsock = s + 1
+		for c := 0; probed(s, c); c++ {
+			dimms = append(dimms, dimm{s, c})
+		}
+	}
+	for _, d := range dimms {
+		r, _ := gauge(last, "xp_ctrl_read_bytes"+d.suffix())
+		w, _ := gauge(last, "xp_ctrl_write_bytes"+d.suffix())
+		if r+w > 0 {
+			active = append(active, d)
+		}
+	}
+	return dimms, active, nsock
+}
+
+// interval is one step of a run's timeline: a sample and the one before
+// it, dtNS nanoseconds of sim time apart.
+type interval struct {
+	prev, cur telemetry.Sample
+	dtNS      float64
+}
+
+// delta is a gauge's change over the interval.
+func (iv interval) delta(name string) float64 {
+	cur, _ := gauge(iv.cur, name)
+	old, _ := gauge(iv.prev, name)
+	return cur - old
+}
+
+// dimmRates is one DIMM's utilization over one interval. Bandwidths are in
+// bytes per ns (GB/s); stall is WPQ stall time per ns, which exceeds 1
+// when several threads stall at once.
+type dimmRates struct {
+	bw, wr, mediaWr, ewr, hitRate, stall float64
+}
+
+// dimm differences one DIMM's device gauges over the interval.
+func (iv interval) dimm(d dimm) dimmRates {
+	ctrlR := iv.delta("xp_ctrl_read_bytes" + d.suffix())
+	ctrlW := iv.delta("xp_ctrl_write_bytes" + d.suffix())
+	mediaW := iv.delta("xp_media_write_bytes" + d.suffix())
+	hits := iv.delta("xp_buffer_hits" + d.suffix())
+	misses := iv.delta("xp_buffer_misses" + d.suffix())
+	stall := iv.delta("xp_wpq_stall_ns" + d.suffix())
+	return dimmRates{
+		bw:      (ctrlR + ctrlW) / iv.dtNS,
+		wr:      ctrlW / iv.dtNS,
+		mediaWr: mediaW / iv.dtNS,
+		ewr:     ratio(ctrlW, mediaW),
+		hitRate: ratio(hits, hits+misses),
+		stall:   stall / iv.dtNS,
+	}
+}
+
+// eachInterval walks a run's timeline, differencing every sample against
+// the one before it, and calls fn on every Nth interval, counting
+// intervals from 0. The walk starts from zero counters at t=0; a sample
+// that does not advance time, such as the sampler's baseline at t_ns 0,
+// opens no interval and only becomes the next interval's start.
+func eachInterval(rn *telemetry.Run, every int, fn func(iv interval)) {
+	prev := telemetry.Sample{}
+	k := 0
+	for _, s := range rn.Samples {
+		if s.TNS > prev.TNS {
+			if k%every == 0 {
+				fn(interval{prev: prev, cur: s, dtNS: float64(s.TNS - prev.TNS)})
+			}
+			k++
+		}
 		prev = s
 	}
-	fmt.Fprintln(w)
 }

@@ -308,7 +308,7 @@ func TestHotspotConcentratesOnOneShard(t *testing.T) {
 	}
 }
 
-// TestClusterParallelByteIdentical is the acceptance contract: clusterbench
+// TestClusterParallelByteIdentical is the acceptance contract: bench
 // output for the cluster family is byte-identical between -parallel 1 and
 // -parallel 8 in -deterministic mode.
 func TestClusterParallelByteIdentical(t *testing.T) {
@@ -317,7 +317,7 @@ func TestClusterParallelByteIdentical(t *testing.T) {
 		code := harness.CLIMain([]string{
 			"-format=json", "-deterministic", "-duration=100", "-parallel=" + parallel,
 			"cluster/sweep-local-packed", "cluster/point", "cluster/hotspot",
-		}, harness.CLIOptions{Command: "test", Stdout: &out, Stderr: &errOut})
+		}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-parallel=%s: exit %d, stderr: %s", parallel, code, errOut.String())
 		}

@@ -203,7 +203,7 @@ func TestFailoverChurnExposure(t *testing.T) {
 }
 
 // TestFailoverParallelByteIdentical is the acceptance contract: the
-// fault-injected family's clusterbench output is byte-identical between
+// fault-injected family's bench output is byte-identical between
 // -parallel 1 and -parallel 8 in -deterministic mode.
 func TestFailoverParallelByteIdentical(t *testing.T) {
 	render := func(parallel string) []byte {
@@ -211,7 +211,7 @@ func TestFailoverParallelByteIdentical(t *testing.T) {
 		code := harness.CLIMain([]string{
 			"-format=json", "-deterministic", "-duration=100", "-parallel=" + parallel,
 			"cluster/failover/point", "cluster/failover/sweep", "cluster/failover/churn",
-		}, harness.CLIOptions{Command: "test", Stdout: &out, Stderr: &errOut})
+		}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-parallel=%s: exit %d, stderr: %s", parallel, code, errOut.String())
 		}

@@ -66,3 +66,33 @@ func TestHotspotTimeline(t *testing.T) {
 		t.Errorf("max per-interval shard share = %g, want > 0.3 (hotspot should concentrate)", maxShare)
 	}
 }
+
+// Every traced run's timeline opens with a baseline sample at the measured
+// window's first instant, before any measured op: the device gauges count
+// from platform start, so the first interval must difference against this
+// sample, not against zero.
+func TestTimelineOpensWithBaseline(t *testing.T) {
+	var specs []harness.Spec
+	for _, name := range []string{
+		"service/kv/pmemkv", "service/batch/point", "service/batch/sweep",
+		"service/cache/point", "cluster/hotspot", "cluster/failover/point",
+	} {
+		specs = append(specs, harness.Spec{Scenario: name, Duration: 150 * sim.Microsecond, Trace: true})
+	}
+	for _, sr := range harness.RunSpecs(specs, 2) {
+		if sr.Err != nil {
+			t.Fatal(sr.Err)
+		}
+		for _, run := range sr.Result.Trials[0].Trace.Runs {
+			if len(run.Samples) < 2 {
+				t.Fatalf("%s [%s]: %d samples, want a baseline and at least one interval",
+					sr.Result.Name, run.Label, len(run.Samples))
+			}
+			s := run.Samples[0]
+			if s.TNS != 0 || s.Offered != 0 || s.Dropped != 0 || s.Completed != 0 {
+				t.Errorf("%s [%s]: first sample t_ns=%d offered=%d dropped=%d completed=%d, want all 0",
+					sr.Result.Name, run.Label, s.TNS, s.Offered, s.Dropped, s.Completed)
+			}
+		}
+	}
+}

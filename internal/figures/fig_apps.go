@@ -207,8 +207,8 @@ func Fig15(q Quality) []stats.Figure {
 
 // Fig17 reproduces "Multi-DIMM NOVA": FIO bandwidth for sequential/random
 // reads and writes, sync and async engines, interleaved (I) versus
-// per-thread-pinned non-interleaved (NI) mounts. See EXPERIMENTS.md for the
-// documented deviation on the write rows.
+// per-thread-pinned non-interleaved (NI) mounts. See DESIGN.md, "Known
+// deviation: Figure 17's write rows".
 func Fig17(q Quality) []stats.Figure {
 	threads := 24
 	ops := q.ops(240) / 4

@@ -1,8 +1,9 @@
 // Package figures regenerates every data figure of the paper's evaluation
 // (Figures 2–19; Figures 1 and 11 are diagrams). Each runner builds fresh
 // simulated platforms, executes the paper's experiment, and returns the
-// series as stats.Figure values that cmd/figures renders and EXPERIMENTS.md
-// records.
+// series as stats.Figure values that the figures/* scenarios render as TSV
+// tables. DESIGN.md records the one known deviation, on Figure 17's write
+// rows.
 package figures
 
 import (

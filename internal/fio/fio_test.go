@@ -77,7 +77,8 @@ func TestFioReadsFasterThanSyncWrites(t *testing.T) {
 }
 
 // TestMultiDIMMNovaComparison runs the Figure 17 configurations. Note a
-// documented deviation (see EXPERIMENTS.md): the raw iMC-contention kernel
+// documented deviation (DESIGN.md, "Known deviation: Figure 17's write
+// rows"): the raw iMC-contention kernel
 // reproduces the paper's pinning advantage (lattester.Spread), but through
 // the full NOVA+FIO stack our simulator's cross-DIMM queue pooling gives
 // the interleaved mount an edge at file-system op granularity. This test

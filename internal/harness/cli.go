@@ -13,21 +13,6 @@ import (
 	"optanestudy/internal/telemetry"
 )
 
-// CLIOptions configures the shared command-line front end the cmd/*
-// binaries are built from.
-type CLIOptions struct {
-	// Command is the binary name used in usage output.
-	Command string
-	// Doc is a one-line description printed at the top of usage.
-	Doc string
-	// DefaultGlobs selects the scenarios run when no positional arguments
-	// are given (e.g. ["lattester/*"]).
-	DefaultGlobs []string
-	// Stdout and Stderr default to os.Stdout / os.Stderr.
-	Stdout io.Writer
-	Stderr io.Writer
-}
-
 // paramFlag accumulates repeated -p key=value flags.
 type paramFlag map[string]string
 
@@ -42,24 +27,17 @@ func (p paramFlag) Set(v string) error {
 	return nil
 }
 
-// CLIMain runs the shared scenario CLI: list/filter scenarios by glob, run
-// them through the driver, and render the results in the chosen format. It
-// returns the process exit code.
-func CLIMain(argv []string, opts CLIOptions) int {
-	stdout, stderr := opts.Stdout, opts.Stderr
-	if stdout == nil {
-		stdout = os.Stdout
-	}
-	if stderr == nil {
-		stderr = os.Stderr
-	}
-
-	fs := flag.NewFlagSet(opts.Command, flag.ContinueOnError)
+// CLIMain is the bench command: list scenarios or run them by name or
+// glob (every registered scenario when none is given) through the driver,
+// and render the results in the chosen format. It returns the process exit
+// code.
+func CLIMain(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "%s: %s\n\n", opts.Command, opts.Doc)
-		fmt.Fprintf(stderr, "usage: %s [flags] [scenario|glob ...]\n", opts.Command)
-		fmt.Fprintf(stderr, "default scenarios: %s\n\nflags:\n", strings.Join(opts.DefaultGlobs, " "))
+		fmt.Fprint(stderr, "bench: run the study's scenarios on the simulated platform\n\n",
+			"usage: bench [flags] [scenario|glob ...]\n",
+			"no scenario argument selects every registered scenario\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 
@@ -93,11 +71,11 @@ func CLIMain(argv []string, opts CLIOptions) int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+			fmt.Fprintf(stderr, "bench: %v\n", err)
 			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+			fmt.Fprintf(stderr, "bench: %v\n", err)
 			f.Close()
 			return 2
 		}
@@ -110,23 +88,23 @@ func CLIMain(argv []string, opts CLIOptions) int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+				fmt.Fprintf(stderr, "bench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so live objects dominate
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+				fmt.Fprintf(stderr, "bench: %v\n", err)
 			}
 		}()
 	}
 	globs := fs.Args()
 	if len(globs) == 0 {
-		globs = opts.DefaultGlobs
+		globs = Names()
 	}
 	scs, err := Match(globs...)
 	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+		fmt.Fprintf(stderr, "bench: %v\n", err)
 		return 2
 	}
 
@@ -137,21 +115,10 @@ func CLIMain(argv []string, opts CLIOptions) int {
 		return 0
 	}
 
-	rep, err := NewReporter(*format)
+	rep, err := NewReporter(*format, *det)
 	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+		fmt.Fprintf(stderr, "bench: %v\n", err)
 		return 2
-	}
-	switch r := rep.(type) {
-	case JSONReporter:
-		r.Deterministic = *det
-		rep = r
-	case CSVReporter:
-		r.Deterministic = *det
-		rep = r
-	case TableReporter:
-		r.Deterministic = *det
-		rep = r
 	}
 
 	// Run every matched scenario's trials as one job batch over the worker
@@ -185,7 +152,7 @@ func CLIMain(argv []string, opts CLIOptions) int {
 	failed := 0
 	for _, sr := range RunSpecs(specs, *parallel) {
 		if sr.Err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, sr.Err)
+			fmt.Fprintf(stderr, "bench: %v\n", sr.Err)
 			failed++
 			continue
 		}
@@ -194,7 +161,7 @@ func CLIMain(argv []string, opts CLIOptions) int {
 
 	if len(results) > 0 {
 		if err := rep.Report(stdout, results); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+			fmt.Fprintf(stderr, "bench: %v\n", err)
 			return 1
 		}
 	}
@@ -212,16 +179,16 @@ func CLIMain(argv []string, opts CLIOptions) int {
 		}
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+			fmt.Fprintf(stderr, "bench: %v\n", err)
 			return 1
 		}
 		if err := telemetry.WriteJSONL(f, entries); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+			fmt.Fprintf(stderr, "bench: %v\n", err)
 			f.Close()
 			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", opts.Command, err)
+			fmt.Fprintf(stderr, "bench: %v\n", err)
 			return 1
 		}
 	}

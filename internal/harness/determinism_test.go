@@ -60,9 +60,7 @@ func TestParallelByteIdentical(t *testing.T) {
 			"-format=json", "-deterministic", "-duration=20", "-ops=200",
 			"-trials=2", "-parallel=" + parallel,
 		}, scenarios...)
-		code := harness.CLIMain(args, harness.CLIOptions{
-			Command: "test", Stdout: &out, Stderr: &errOut,
-		})
+		code := harness.CLIMain(args, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-parallel=%s: exit %d, stderr: %s", parallel, code, errOut.String())
 		}
@@ -137,8 +135,7 @@ func TestCLIJSONRoundTrip(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := harness.CLIMain(
 		[]string{"-format=json", "-duration=20", "-deterministic", "lattester/seq-ntstore"},
-		harness.CLIOptions{Command: "test", DefaultGlobs: []string{"lattester/*"}, Stdout: &out, Stderr: &errOut},
-	)
+		&out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
@@ -170,13 +167,10 @@ func TestCLIJSONRoundTrip(t *testing.T) {
 
 // TestCLIList checks -list output and glob filtering.
 func TestCLIList(t *testing.T) {
-	var out bytes.Buffer
-	code := harness.CLIMain(
-		[]string{"-list", "lattester/seq-*"},
-		harness.CLIOptions{Command: "test", Stdout: &out},
-	)
+	var out, errOut bytes.Buffer
+	code := harness.CLIMain([]string{"-list", "lattester/seq-*"}, &out, &errOut)
 	if code != 0 {
-		t.Fatalf("exit %d", code)
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	listing := out.String()
 	if !strings.Contains(listing, "lattester/seq-read") || strings.Contains(listing, "lattester/rand-read") {
@@ -184,13 +178,26 @@ func TestCLIList(t *testing.T) {
 	}
 }
 
+// TestCLIListAll checks that no scenario argument selects exactly the
+// registered scenarios, in registry order.
+func TestCLIListAll(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := harness.CLIMain([]string{"-list"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	if want := harness.Names(); strings.Join(listed, " ") != strings.Join(want, " ") {
+		t.Errorf("-list with no argument printed %v, want %v", listed, want)
+	}
+}
+
 // TestCLIBadScenario checks the error path exit code.
 func TestCLIBadScenario(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := harness.CLIMain(
-		[]string{"no/such-scenario"},
-		harness.CLIOptions{Command: "test", Stdout: &out, Stderr: &errOut},
-	)
+	code := harness.CLIMain([]string{"no/such-scenario"}, &out, &errOut)
 	if code == 0 {
 		t.Fatal("unknown scenario must not exit 0")
 	}

@@ -9,7 +9,7 @@
 // Because jobs are stateless and seeds are schedule-independent, output is
 // byte-identical at any parallelism.
 //
-// The five cmd/* binaries are thin CLIs over the registry (CLIMain), the
+// cmd/bench is a one-line main over the registry (CLIMain), the
 // figure runners in internal/figures and the LATTester sweep produce their
 // datapoints through harness trials, and bench_test.go drives the same
 // specs — one run/measure/report spine for the whole study, in the spirit

@@ -229,7 +229,7 @@ func TestReporters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, format := range []string{"table", "csv", "json"} {
-		rep, err := NewReporter(format)
+		rep, err := NewReporter(format, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestReporters(t *testing.T) {
 			t.Errorf("%s output misses scenario name:\n%s", format, buf.String())
 		}
 	}
-	if _, err := NewReporter("xml"); err == nil {
+	if _, err := NewReporter("xml", false); err == nil {
 		t.Error("NewReporter must reject unknown formats")
 	}
 }

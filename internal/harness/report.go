@@ -18,15 +18,15 @@ type Reporter interface {
 }
 
 // NewReporter returns the reporter for a format name: "table", "csv" or
-// "json".
-func NewReporter(format string) (Reporter, error) {
+// "json". With deterministic set it suppresses host wall-clock fields.
+func NewReporter(format string, deterministic bool) (Reporter, error) {
 	switch format {
 	case "table", "":
-		return TableReporter{}, nil
+		return TableReporter{Deterministic: deterministic}, nil
 	case "csv":
-		return CSVReporter{}, nil
+		return CSVReporter{Deterministic: deterministic}, nil
 	case "json":
-		return JSONReporter{}, nil
+		return JSONReporter{Deterministic: deterministic}, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown format %q (want table, csv or json)", format)
 	}

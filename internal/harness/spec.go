@@ -15,7 +15,7 @@ type Spec struct {
 	// Scenario is the registered scenario name (e.g. "lattester/seq-read").
 	Scenario string
 	// Params carries scenario-specific workload parameters as strings so
-	// specs round-trip through CLIs and JSON unchanged.
+	// specs round-trip through the command line and JSON unchanged.
 	Params map[string]string
 	// Threads is the worker thread count.
 	Threads int

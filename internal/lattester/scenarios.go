@@ -11,7 +11,8 @@ import (
 
 // Harness scenarios. The fully parameterized "lattester/kernel" scenario is
 // the measurement primitive behind the figure runners and the sweep; the
-// named presets expose the paper's headline configurations to the CLIs.
+// named presets expose the paper's headline configurations to the bench
+// command.
 func init() {
 	harness.Register(harness.Scenario{
 		Name: "lattester/kernel",

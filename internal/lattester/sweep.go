@@ -51,7 +51,7 @@ func DefaultSweepConfig() SweepConfig {
 // Sweep runs every configuration against a single non-interleaved DIMM and
 // returns the data points (the Figure 9 scatter) in grid order. Each point
 // is one harness trial of the "lattester/kernel" scenario, so the sweep and
-// the CLIs can never disagree on how a configuration is measured; the
+// the bench command can never disagree on how a configuration is measured; the
 // trials fan out across SweepConfig.Parallel workers with seeds derived
 // from each point's resolved spec, so the scatter is identical at any
 // pool width.

@@ -1,8 +1,8 @@
 // Package scenarios links every scenario-providing package into a binary:
 // blank-importing it populates the harness registry with the lattester,
-// fio, lsmkv, pmem, pmemkv, service, cluster and figures scenarios. The
-// cmd/* CLIs and the top-level benchmarks import it so they all see one
-// identical registry.
+// fio, lsmkv, pmem, pmemkv, service, cluster and figures scenarios.
+// cmd/bench and the top-level benchmarks import it so both see one
+// identical, complete registry.
 package scenarios
 
 import (

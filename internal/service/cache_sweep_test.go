@@ -120,7 +120,7 @@ func TestCacheParallelByteIdentical(t *testing.T) {
 		code := harness.CLIMain([]string{
 			"-format=json", "-deterministic", "-duration=100", "-parallel=" + parallel,
 			"service/cache/point", "service/cache/memmode", "service/cache/sweep",
-		}, harness.CLIOptions{Command: "test", Stdout: &out, Stderr: &errOut})
+		}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-parallel=%s: exit %d, stderr: %s", parallel, code, errOut.String())
 		}

@@ -600,14 +600,17 @@ func Serve(cfg Config) (*Result, error) {
 	}
 	// Timeline sampler: a read-only proc waking at the recorder's fixed
 	// sim-time interval over the measured window, snapshotting cumulative
-	// counters. It mutates nothing the serving procs observe, so traced
-	// results equal untraced ones; and everything it reads derives from
-	// sim time, so traced output is byte-identical at any -parallel width.
+	// counters. Its first sample, at the window's opening instant, is the
+	// baseline the renderers difference the first interval against: the
+	// probe gauges count from platform start, so zero is no baseline. It
+	// mutates nothing the serving procs observe, so traced results equal
+	// untraced ones; and everything it reads derives from sim time, so
+	// traced output is byte-identical at any -parallel width.
 	if st.rec != nil && st.rec.Interval() > 0 {
 		iv := st.rec.Interval()
 		p.Go("trace-sampler", cfg.Socket, func(ctx *platform.MemCtx) {
 			proc := ctx.Proc()
-			for t := warmEnd + iv; t <= deadline; t += iv {
+			for t := warmEnd; t <= deadline; t += iv {
 				proc.AdvanceTo(t)
 				st.sample(t-warmEnd, t)
 			}

@@ -234,7 +234,7 @@ func TestBatchSweepShape(t *testing.T) {
 	}
 }
 
-// TestServeParallelByteIdentical is the acceptance contract: servebench
+// TestServeParallelByteIdentical is the acceptance contract: bench
 // output for the sweep scenario is byte-identical between -parallel 1 and
 // -parallel 8 in -deterministic mode.
 func TestServeParallelByteIdentical(t *testing.T) {
@@ -243,7 +243,7 @@ func TestServeParallelByteIdentical(t *testing.T) {
 		code := harness.CLIMain([]string{
 			"-format=json", "-deterministic", "-duration=100", "-parallel=" + parallel,
 			"service/kv/sweep-pmemkv", "service/kv/pmemkv",
-		}, harness.CLIOptions{Command: "test", Stdout: &out, Stderr: &errOut})
+		}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-parallel=%s: exit %d, stderr: %s", parallel, code, errOut.String())
 		}

@@ -118,9 +118,12 @@ type ShardSample struct {
 	QOccNS float64 `json:"qocc_ns"`
 }
 
-// Sample is one timeline instant: cumulative measured-window counters, so
-// a renderer differences successive samples into rates without the
-// recorder ever guessing at windows.
+// Sample is one timeline instant: cumulative counters, so a renderer
+// differences successive samples into rates without the recorder ever
+// guessing at windows. The op counts, totals and per shard, count from
+// the measured window's opening; a gauge is whatever its probe reads, and
+// the device probes count from platform start, preload and warmup
+// included. A run's first sample, at TNS 0, is the baseline for both.
 type Sample struct {
 	// TNS is sim time since the measured window opened, in ns.
 	TNS int64 `json:"t_ns"`
