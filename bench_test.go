@@ -201,8 +201,9 @@ func BenchmarkScenarioServePoint(b *testing.B) {
 }
 
 // ---- Sweep benchmarks: every registered scenario through the batch
-// driver, serial vs parallel — the wall-clock pair BENCH_sweep.json
-// tracks per PR ----
+// driver, serial vs parallel — the same pair CI's full-sweep step cmps
+// for byte-identity; host time is tracked by the perfbench workloads
+// that BENCHMARK.json declares ----
 
 func benchSweep(b *testing.B, parallel int) {
 	specs := make([]harness.Spec, 0, len(harness.Names()))

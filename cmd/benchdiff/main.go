@@ -43,15 +43,16 @@ type result struct {
 
 const benchSchema = "optanestudy-bench/v1"
 
-// delta is one compared value pair. Rel is (new-old)/|old|; NaN marks a
-// metric present on only one side.
+// delta is one compared value pair. Rel is (new-old)/|old|; nil (JSON
+// null) marks a pair with no finite relative delta: a metric present on
+// only one side, or one moving from 0.
 type delta struct {
-	Scenario string  `json:"scenario"`
-	Metric   string  `json:"metric"`
-	Old      float64 `json:"old"`
-	New      float64 `json:"new"`
-	Rel      float64 `json:"rel"`
-	Flagged  bool    `json:"flagged"`
+	Scenario string   `json:"scenario"`
+	Metric   string   `json:"metric"`
+	Old      float64  `json:"old"`
+	New      float64  `json:"new"`
+	Rel      *float64 `json:"rel"`
+	Flagged  bool     `json:"flagged"`
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -116,8 +117,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				mark = " !"
 			}
 			rel := "n/a"
-			if !math.IsNaN(d.Rel) {
-				rel = fmt.Sprintf("%+.2f%%", d.Rel*100)
+			if d.Rel != nil {
+				rel = fmt.Sprintf("%+.2f%%", *d.Rel*100)
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.6g\t%.6g\t%s%s\n", d.Scenario, d.Metric, d.Old, d.New, rel, mark)
 		}
@@ -210,18 +211,18 @@ func diff(oldEnv, newEnv *envelope, threshold float64) (deltas []delta, onlyOld,
 func compare(or, nr *result, threshold float64) []delta {
 	var out []delta
 	add := func(metric string, ov, nv float64, inBoth bool) {
-		rel := math.NaN()
+		var rel *float64
 		flagged := true
 		switch {
 		case !inBoth:
 			// present on one side only: always worth flagging
 		case ov == nv:
-			rel, flagged = 0, false
+			rel, flagged = new(float64), false
 		case ov == 0:
 			// 0 -> nonzero has no finite relative delta; flag it
 		default:
-			rel = (nv - ov) / math.Abs(ov)
-			flagged = math.Abs(rel) > threshold
+			r := (nv - ov) / math.Abs(ov)
+			rel, flagged = &r, math.Abs(r) > threshold
 		}
 		out = append(out, delta{or.Name, metric, ov, nv, rel, flagged})
 	}

@@ -30,6 +30,8 @@ func TestSharedPointChecks(t *testing.T) {
 		{map[string]string{"scanmode": "x"}, `unknown scanmode "x"`, nil},
 		{map[string]string{"offered": "0"}, "offered load must be positive, got 0", nil},
 		{map[string]string{"tenants": "0"}, "tenants must be >= 1, got 0", nil},
+		{map[string]string{"keysize": "4"}, "keysize must be >= 8, got 4", nil},
+		{map[string]string{"valsize": "4"}, "valsize must be >= 8, got 4", nil},
 		{map[string]string{"mix": "x"}, `unknown key mix "x"`, nil},
 		{map[string]string{"tier": "x"}, `unknown tier "x"`, nil},
 		{map[string]string{"tier": "hot", "cache": "0"}, "tier=hot needs a positive cache size, got 0", nil},

@@ -45,7 +45,6 @@ func CLIMain(argv []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "table", "output format: table, csv or json")
 	parallel := fs.Int("parallel", 0, "max concurrent (scenario, trial) jobs (0 = GOMAXPROCS); output is identical at any width")
 	trials := fs.Int("trials", 0, "measured trials per scenario (0 = scenario default)")
-	warmupRuns := fs.Int("warmup-runs", 0, "discarded whole runs before measuring")
 	threads := fs.Int("threads", 0, "worker threads (0 = scenario default)")
 	socket := fs.Int("socket", 0, "socket the workers run on (0 = scenario default)")
 	durationUS := fs.Int("duration", 0, "measured window in simulated microseconds (0 = default)")
@@ -129,16 +128,15 @@ func CLIMain(argv []string, stdout, stderr io.Writer) int {
 	specs := make([]Spec, len(scs))
 	for i, sc := range scs {
 		spec := Spec{
-			Scenario:   sc.Name,
-			Threads:    *threads,
-			Socket:     *socket,
-			Duration:   sim.Time(*durationUS) * sim.Microsecond,
-			Warmup:     sim.Time(*warmupUS) * sim.Microsecond,
-			Ops:        *ops,
-			Trials:     *trials,
-			WarmupRuns: *warmupRuns,
-			Seed:       *seed,
-			Trace:      *tracePath != "",
+			Scenario: sc.Name,
+			Threads:  *threads,
+			Socket:   *socket,
+			Duration: sim.Time(*durationUS) * sim.Microsecond,
+			Warmup:   sim.Time(*warmupUS) * sim.Microsecond,
+			Ops:      *ops,
+			Trials:   *trials,
+			Seed:     *seed,
+			Trace:    *tracePath != "",
 		}
 		if len(params) > 0 {
 			spec.Params = make(map[string]string, len(params))

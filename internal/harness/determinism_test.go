@@ -13,9 +13,10 @@ import (
 	"optanestudy/internal/sim"
 )
 
-// TestDeterministicJSON asserts the contract BENCH_*.json tracking relies
-// on: two harness runs of the same Spec (same seed) against the simulated
-// platform produce byte-identical deterministic JSON.
+// TestDeterministicJSON asserts the contract the neutrality guard
+// (ci/sweep_baseline.json) relies on: two harness runs of the same Spec
+// (same seed) against the simulated platform produce byte-identical
+// deterministic JSON.
 func TestDeterministicJSON(t *testing.T) {
 	render := func() []byte {
 		res, err := harness.Run(harness.Spec{

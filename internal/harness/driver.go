@@ -7,8 +7,8 @@ package harness
 // single-spec entry point.
 
 // Run resolves the spec against its scenario's defaults, executes the
-// warmup runs and measured trials, and aggregates. It is equivalent to a
-// one-spec RunSpecs batch on a single worker.
+// measured trials, and aggregates. It is equivalent to a one-spec
+// RunSpecs batch on a single worker.
 func Run(spec Spec) (*Result, error) {
 	sr := RunSpecs([]Spec{spec}, 1)[0]
 	return sr.Result, sr.Err

@@ -8,31 +8,28 @@ import (
 	"time"
 )
 
-// job is one independent, deterministic unit of work: a single warmup run
-// or measured trial of one fully resolved spec. A job carries everything a
-// worker needs, so the set of jobs from a sweep can execute in any order —
+// job is one independent, deterministic unit of work: a single measured
+// trial of one fully resolved spec. A job carries everything a worker
+// needs, so the set of jobs from a sweep can execute in any order —
 // serially or across a pool — and produce the same per-trial results.
 type job struct {
 	sc   Scenario
-	spec Spec // fully resolved; Seed is this run's derived seed
+	spec Spec // fully resolved; Seed is this trial's derived seed
 	// specIdx is the index of the originating spec in the batch; results
 	// and errors are reported in this order no matter when jobs finish.
 	specIdx int
-	// run is the warmup or trial index within the spec.
-	run int
-	// warmup jobs execute for wall-clock priming only; their trials are
-	// discarded and they carry a seed stream disjoint from measured runs.
-	warmup bool
+	// trial is the trial index within the spec.
+	trial int
 }
 
-// deriveSeed computes the RNG seed for one run of a resolved spec by
+// deriveSeed computes the RNG seed for one trial of a resolved spec by
 // hashing the spec's identity — scenario name, resolved params, the
-// measurement knobs, and the base seed — together with the run's kind and
-// index (FNV-1a). A trial's seed therefore depends only on what is being
+// measurement knobs, and the base seed — together with the trial index
+// (FNV-1a). A trial's seed therefore depends only on what is being
 // measured and which trial it is, never on where in a sweep the trial
 // happens to execute, so any schedule (serial, shuffled, parallel)
 // reproduces the same per-trial randomness.
-func deriveSeed(spec Spec, warmup bool, run int) uint64 {
+func deriveSeed(spec Spec, trial int) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, spec.Scenario)
 	keys := make([]string, 0, len(spec.Params))
@@ -49,28 +46,18 @@ func deriveSeed(spec Spec, warmup bool, run int) uint64 {
 	} {
 		io.WriteString(h, "\x00"+strconv.FormatInt(v, 10))
 	}
-	if warmup {
-		io.WriteString(h, "\x00warmup\x00")
-	} else {
-		io.WriteString(h, "\x00trial\x00")
-	}
-	io.WriteString(h, strconv.Itoa(run))
+	io.WriteString(h, "\x00trial\x00"+strconv.Itoa(trial))
 	return h.Sum64()
 }
 
 // buildJobs expands one resolved spec (specs[specIdx] after withDefaults)
-// into its warmup and trial jobs.
+// into its trial jobs.
 func buildJobs(sc Scenario, spec Spec, specIdx int) []job {
-	jobs := make([]job, 0, spec.WarmupRuns+spec.Trials)
-	for i := 0; i < spec.WarmupRuns; i++ {
+	jobs := make([]job, spec.Trials)
+	for i := range jobs {
 		jspec := spec
-		jspec.Seed = deriveSeed(spec, true, i)
-		jobs = append(jobs, job{sc: sc, spec: jspec, specIdx: specIdx, run: i, warmup: true})
-	}
-	for i := 0; i < spec.Trials; i++ {
-		jspec := spec
-		jspec.Seed = deriveSeed(spec, false, i)
-		jobs = append(jobs, job{sc: sc, spec: jspec, specIdx: specIdx, run: i, warmup: false})
+		jspec.Seed = deriveSeed(spec, i)
+		jobs[i] = job{sc: sc, spec: jspec, specIdx: specIdx, trial: i}
 	}
 	return jobs
 }

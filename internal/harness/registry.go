@@ -30,9 +30,7 @@ type Defaults struct {
 	Threads  int
 	Socket   int
 	Duration sim.Time
-	Warmup   sim.Time
 	Ops      int
-	Trials   int
 	Seed     uint64
 	Params   map[string]string
 }

@@ -112,16 +112,10 @@ func RunSpecs(specs []Spec, parallel int) []SpecResult {
 			continue
 		}
 		if errs[idx] != nil {
-			kind := "trial"
-			if j.warmup {
-				kind = "warmup run"
-			}
-			out[i].Err = fmt.Errorf("%s: %s %d: %w", j.sc.Name, kind, j.run, errs[idx])
+			out[i].Err = fmt.Errorf("%s: trial %d: %w", j.sc.Name, j.trial, errs[idx])
 			continue
 		}
-		if !j.warmup {
-			perSpec[i][j.run] = trials[idx]
-		}
+		perSpec[i][j.trial] = trials[idx]
 	}
 	for i := range out {
 		if out[i].Err != nil {

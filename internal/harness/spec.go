@@ -32,15 +32,10 @@ type Spec struct {
 	Warmup sim.Time
 	// Trials is how many measured trials the driver runs (default 1).
 	Trials int
-	// WarmupRuns is how many whole discarded runs accompany the trials for
-	// wall-clock priming; they carry a seed stream disjoint from the
-	// measured trials and may execute in any order relative to them.
-	WarmupRuns int
-	// Seed is the base RNG seed. Each run's effective seed is derived by
+	// Seed is the base RNG seed. Each trial's effective seed is derived by
 	// hashing the resolved spec identity (scenario name, params, knobs,
-	// Seed) with the run kind and trial index — see deriveSeed — so
-	// changing Seed changes every trial's randomness, but no trial uses
-	// Seed verbatim.
+	// Seed) with the trial index — see deriveSeed — so changing Seed
+	// changes every trial's randomness, but no trial uses Seed verbatim.
 	Seed uint64
 	// Parallel is stamped by the driver on resolved specs: the pool width
 	// available to a nested batch this spec's scenario fans out (the
@@ -73,12 +68,6 @@ func (s Spec) withDefaults(d Defaults) Spec {
 	}
 	if s.Ops == 0 {
 		s.Ops = d.Ops
-	}
-	if s.Warmup == 0 {
-		s.Warmup = d.Warmup
-	}
-	if s.Trials == 0 {
-		s.Trials = d.Trials
 	}
 	if s.Trials == 0 {
 		s.Trials = 1

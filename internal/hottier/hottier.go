@@ -40,17 +40,10 @@ import (
 // service.Backend (the tier both wraps one and is one), declared here so
 // the service package can depend on hottier without a cycle.
 type Backend interface {
-	Get(ctx *platform.MemCtx, key []byte) ([]byte, bool)
+	GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool)
 	Put(ctx *platform.MemCtx, key, val []byte) error
 	Scan(ctx *platform.MemCtx, key []byte, n int) int
 	Delete(ctx *platform.MemCtx, key []byte) error
-}
-
-// BufferGetter is the allocation-free read path a Backend may additionally
-// implement (service.BufferGetter's shape): the tier prefers it on misses
-// so a miss-fill lands in the caller's buffer without touching the heap.
-type BufferGetter interface {
-	GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool)
 }
 
 // Eviction policies.
@@ -154,11 +147,10 @@ type tenantState struct {
 }
 
 // Tier is a DRAM record cache in front of a Backend. It implements the
-// same interface (plus the buffered read), so service dispatch and the
-// cluster layer treat it as just another backend.
+// same interface, so service dispatch and the cluster layer treat it as
+// just another backend.
 type Tier struct {
 	inner Backend
-	bg    BufferGetter // non-nil when inner reads into caller buffers
 
 	ns       *platform.Namespace
 	slotSize int64
@@ -248,7 +240,6 @@ func New(p *platform.Platform, inner Backend, cfg Config) (*Tier, error) {
 		t.slots[i].id = -1
 		t.free[i] = int32(int(nslots) - 1 - i) // pop order: slot 0 first
 	}
-	t.bg, _ = inner.(BufferGetter)
 	return t, nil
 }
 
@@ -280,34 +271,9 @@ func (t *Tier) tenantOf(id int64) int64 {
 
 func (t *Tier) off(si int32) int64 { return int64(si) * t.slotSize }
 
-// Get reads key: DRAM on a hit, the backend (plus a possible admission) on
-// a miss.
-func (t *Tier) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
-	id := recordID(key)
-	if si, ok := t.index[id]; ok {
-		s := &t.slots[si]
-		gen := s.gen
-		buf := make([]byte, s.vlen)
-		ctx.LoadInto(t.ns, t.off(si), buf)
-		if s.gen == gen {
-			t.ctr.Hits++
-			s.ref = true
-			return buf, true
-		}
-		// The slot was reassigned or invalidated under the load; the bytes
-		// are not id's value. Fall through to the backend.
-	}
-	t.ctr.Misses++
-	v := t.ver[id]
-	val, ok := t.inner.Get(ctx, key)
-	if ok {
-		t.fill(ctx, id, val, v)
-	}
-	return val, ok
-}
-
-// GetInto is Get with the value landing in dst (the zero-alloc dispatch
-// path). A cached record longer than dst reads through the backend.
+// GetInto reads key into dst and returns the value's full length: from
+// DRAM on a hit, from the backend (plus a possible admission) on a miss. A
+// cached record longer than dst reads through the backend.
 func (t *Tier) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
 	id := recordID(key)
 	if si, ok := t.index[id]; ok {
@@ -320,26 +286,17 @@ func (t *Tier) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
 				s.ref = true
 				return n, true
 			}
+			// The slot was reassigned or invalidated under the load; the
+			// bytes are not id's value. Fall through to the backend.
 		}
 	}
 	t.ctr.Misses++
 	v := t.ver[id]
-	if t.bg != nil {
-		n, ok := t.bg.GetInto(ctx, key, dst)
-		if ok && n <= len(dst) {
-			t.fill(ctx, id, dst[:n], v)
-		}
-		return n, ok
+	n, ok := t.inner.GetInto(ctx, key, dst)
+	if ok && n <= len(dst) {
+		t.fill(ctx, id, dst[:n], v)
 	}
-	val, ok := t.inner.Get(ctx, key)
-	if !ok {
-		return 0, false
-	}
-	copy(dst, val)
-	if len(val) <= len(dst) {
-		t.fill(ctx, id, val, v)
-	}
-	return len(val), true
+	return n, ok
 }
 
 // Put writes through to the backend; the tier only invalidates. The

@@ -9,9 +9,9 @@ import (
 	"optanestudy/internal/sim"
 )
 
-// fakeBackend is an in-memory inner store. Get snapshots the value before
-// advancing simulated time, which is the adversarial shape for the tier's
-// fill protocol: a Put that lands inside the read window makes the
+// fakeBackend is an in-memory inner store. GetInto snapshots the value
+// before advancing simulated time, which is the adversarial shape for the
+// tier's fill protocol: a Put that lands inside the read window makes the
 // snapshot stale, and the tier must refuse to publish it.
 type fakeBackend struct {
 	vals map[string][]byte
@@ -22,17 +22,14 @@ type fakeBackend struct {
 
 func newFake() *fakeBackend { return &fakeBackend{vals: make(map[string][]byte)} }
 
-func (b *fakeBackend) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
+func (b *fakeBackend) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
 	b.gets++
 	v, ok := b.vals[string(key)]
-	var out []byte
-	if ok {
-		out = append([]byte(nil), v...)
-	}
+	copy(dst, v)
 	if b.lat > 0 {
 		ctx.Proc().Advance(b.lat)
 	}
-	return out, ok
+	return len(v), ok
 }
 
 func (b *fakeBackend) Put(ctx *platform.MemCtx, key, val []byte) error {
@@ -54,16 +51,12 @@ func (b *fakeBackend) Delete(ctx *platform.MemCtx, key []byte) error {
 
 func (b *fakeBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int { return n }
 
-// bufferFake adds the BufferGetter path.
-type bufferFake struct{ fakeBackend }
-
-func (b *bufferFake) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
-	v, ok := b.fakeBackend.Get(ctx, key)
-	if !ok {
-		return 0, false
-	}
-	copy(dst, v)
-	return len(v), true
+// get reads key through the tier into a buffer with room for every value
+// the tests store.
+func get(ctx *platform.MemCtx, tier *Tier, key []byte) ([]byte, bool) {
+	dst := make([]byte, 256)
+	n, ok := tier.GetInto(ctx, key, dst)
+	return dst[:n], ok
 }
 
 func keyFor(id int64) []byte {
@@ -103,11 +96,11 @@ func TestTierHitAfterMiss(t *testing.T) {
 	p, tier := newTier(t, fb, Config{})
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		fb.vals[string(keyFor(7))] = valFor(7, 0)
-		v1, ok := tier.Get(ctx, keyFor(7))
+		v1, ok := get(ctx, tier, keyFor(7))
 		if !ok || !bytes.Equal(v1, valFor(7, 0)) {
 			t.Fatalf("miss read: ok=%v val=%x", ok, v1)
 		}
-		v2, ok := tier.Get(ctx, keyFor(7))
+		v2, ok := get(ctx, tier, keyFor(7))
 		if !ok || !bytes.Equal(v2, valFor(7, 0)) {
 			t.Fatalf("hit read: ok=%v val=%x", ok, v2)
 		}
@@ -130,9 +123,9 @@ func TestTierHitServedFromDRAM(t *testing.T) {
 	p, tier := newTier(t, fb, Config{})
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		fb.vals[string(keyFor(1))] = valFor(1, 0)
-		tier.Get(ctx, keyFor(1))
+		get(ctx, tier, keyFor(1))
 		fb.vals[string(keyFor(1))] = valFor(1, 99) // out-of-band mutation
-		v, ok := tier.Get(ctx, keyFor(1))
+		v, ok := get(ctx, tier, keyFor(1))
 		if !ok || !bytes.Equal(v, valFor(1, 0)) {
 			t.Errorf("hit returned %x, want the cached rev-0 bytes", v)
 		}
@@ -141,40 +134,30 @@ func TestTierHitServedFromDRAM(t *testing.T) {
 }
 
 func TestTierGetIntoParity(t *testing.T) {
-	for _, buffered := range []bool{false, true} {
-		var fb *fakeBackend
-		var inner Backend
-		if buffered {
-			b := &bufferFake{fakeBackend: *newFake()}
-			fb, inner = &b.fakeBackend, b
-		} else {
-			fb = newFake()
-			inner = fb
+	fb := newFake()
+	p, tier := newTier(t, fb, Config{})
+	p.Go("t", 0, func(ctx *platform.MemCtx) {
+		fb.vals[string(keyFor(3))] = valFor(3, 0)
+		dst := make([]byte, 64)
+		n, ok := tier.GetInto(ctx, keyFor(3), dst)
+		if !ok || n != 48 || !bytes.Equal(dst[:n], valFor(3, 0)) {
+			t.Fatalf("miss: n=%d ok=%v", n, ok)
 		}
-		p, tier := newTier(t, inner, Config{})
-		p.Go("t", 0, func(ctx *platform.MemCtx) {
-			fb.vals[string(keyFor(3))] = valFor(3, 0)
-			dst := make([]byte, 64)
-			n, ok := tier.GetInto(ctx, keyFor(3), dst)
-			if !ok || n != 48 || !bytes.Equal(dst[:n], valFor(3, 0)) {
-				t.Fatalf("buffered=%v miss: n=%d ok=%v", buffered, n, ok)
-			}
-			for i := range dst {
-				dst[i] = 0xEE
-			}
-			n, ok = tier.GetInto(ctx, keyFor(3), dst)
-			if !ok || n != 48 || !bytes.Equal(dst[:n], valFor(3, 0)) {
-				t.Fatalf("buffered=%v hit: n=%d ok=%v val=%x", buffered, n, ok, dst[:n])
-			}
-			if _, ok := tier.GetInto(ctx, keyFor(999), dst); ok {
-				t.Fatalf("buffered=%v: absent key reported present", buffered)
-			}
-		})
-		p.Run()
-		c := tier.Counters()
-		if c.Hits != 1 || c.Admits != 1 {
-			t.Errorf("buffered=%v counters = %+v, want 1 hit 1 admit", buffered, c)
+		for i := range dst {
+			dst[i] = 0xEE
 		}
+		n, ok = tier.GetInto(ctx, keyFor(3), dst)
+		if !ok || n != 48 || !bytes.Equal(dst[:n], valFor(3, 0)) {
+			t.Fatalf("hit: n=%d ok=%v val=%x", n, ok, dst[:n])
+		}
+		if _, ok := tier.GetInto(ctx, keyFor(999), dst); ok {
+			t.Fatalf("absent key reported present")
+		}
+	})
+	p.Run()
+	c := tier.Counters()
+	if c.Hits != 1 || c.Admits != 1 {
+		t.Errorf("counters = %+v, want 1 hit 1 admit", c)
 	}
 }
 
@@ -184,22 +167,22 @@ func TestTierInvalidateOnPutAndDelete(t *testing.T) {
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		k := keyFor(5)
 		fb.vals[string(k)] = valFor(5, 0)
-		tier.Get(ctx, k) // admit rev 0
+		get(ctx, tier, k) // admit rev 0
 		if err := tier.Put(ctx, k, valFor(5, 1)); err != nil {
 			t.Fatal(err)
 		}
-		v, ok := tier.Get(ctx, k)
+		v, ok := get(ctx, tier, k)
 		if !ok || !bytes.Equal(v, valFor(5, 1)) {
 			t.Fatalf("post-put read: ok=%v val=%x, want rev 1", ok, v)
 		}
-		v, ok = tier.Get(ctx, k) // rev 1 should now be cached
+		v, ok = get(ctx, tier, k) // rev 1 should now be cached
 		if !ok || !bytes.Equal(v, valFor(5, 1)) {
 			t.Fatalf("post-put hit: ok=%v val=%x", ok, v)
 		}
 		if err := tier.Delete(ctx, k); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := tier.Get(ctx, k); ok {
+		if _, ok := get(ctx, tier, k); ok {
 			t.Fatal("read after delete reported present")
 		}
 	})
@@ -216,9 +199,9 @@ func TestTierAdmitOnNthTouch(t *testing.T) {
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		fb.vals[string(keyFor(9))] = valFor(9, 0)
 		for i := 0; i < 3; i++ {
-			tier.Get(ctx, keyFor(9)) // misses 1..3; the 3rd admits
+			get(ctx, tier, keyFor(9)) // misses 1..3; the 3rd admits
 		}
-		tier.Get(ctx, keyFor(9)) // hit
+		get(ctx, tier, keyFor(9)) // hit
 	})
 	p.Run()
 	c := tier.Counters()
@@ -236,7 +219,7 @@ func TestTierCapacityEviction(t *testing.T) {
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		for id := int64(0); id < 8; id++ {
 			fb.vals[string(keyFor(id))] = valFor(id, 0)
-			tier.Get(ctx, keyFor(id))
+			get(ctx, tier, keyFor(id))
 		}
 	})
 	p.Run()
@@ -259,11 +242,11 @@ func TestTierClockPrefersUnreferenced(t *testing.T) {
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		for _, id := range []int64{1, 2} {
 			fb.vals[string(keyFor(id))] = valFor(id, 0)
-			tier.Get(ctx, keyFor(id))
+			get(ctx, tier, keyFor(id))
 		}
-		tier.Get(ctx, keyFor(1)) // hit: sets 1's reference bit
+		get(ctx, tier, keyFor(1)) // hit: sets 1's reference bit
 		fb.vals[string(keyFor(3))] = valFor(3, 0)
-		tier.Get(ctx, keyFor(3)) // must evict 2, not the referenced 1
+		get(ctx, tier, keyFor(3)) // must evict 2, not the referenced 1
 	})
 	p.Run()
 	if len(victims) != 1 || victims[0] != 2 {
@@ -280,15 +263,15 @@ func TestTierTenantQuota(t *testing.T) {
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		for _, id := range []int64{100, 101} { // tenant 1 settles in first
 			fb.vals[string(keyFor(id))] = valFor(id, 0)
-			tier.Get(ctx, keyFor(id))
+			get(ctx, tier, keyFor(id))
 		}
 		for id := int64(0); id < 10; id++ { // tenant 0 churns through 10 keys
 			fb.vals[string(keyFor(id))] = valFor(id, 0)
-			tier.Get(ctx, keyFor(id))
+			get(ctx, tier, keyFor(id))
 		}
 		// Tenant 1's records must have survived tenant 0's churn.
-		tier.Get(ctx, keyFor(100))
-		tier.Get(ctx, keyFor(101))
+		get(ctx, tier, keyFor(100))
+		get(ctx, tier, keyFor(101))
 	})
 	p.Run()
 	c := tier.Counters()
@@ -322,7 +305,7 @@ func TestTierEvictionDeterministic(t *testing.T) {
 					if _, ok := fb.vals[string(k)]; !ok {
 						fb.vals[string(k)] = valFor(id, 0)
 					}
-					tier.Get(ctx, k)
+					get(ctx, tier, k)
 				}
 			})
 			p.Run()
@@ -350,7 +333,7 @@ func TestTierOversizeReadsThrough(t *testing.T) {
 		big := make([]byte, 200) // larger than the 64 B slot
 		fb.vals[string(keyFor(1))] = big
 		for i := 0; i < 3; i++ {
-			v, ok := tier.Get(ctx, keyFor(1))
+			v, ok := get(ctx, tier, keyFor(1))
 			if !ok || len(v) != 200 {
 				t.Fatalf("oversize read %d: ok=%v len=%d", i, ok, len(v))
 			}
@@ -378,7 +361,7 @@ func TestTierWriteRaceNeverServesStale(t *testing.T) {
 	})
 	p.Go("reader", 0, func(ctx *platform.MemCtx) {
 		for i := 0; i < rounds*3; i++ {
-			if v, ok := tier.Get(ctx, k); ok && len(v) != 48 {
+			if v, ok := get(ctx, tier, k); ok && len(v) != 48 {
 				t.Errorf("read %d returned %d bytes", i, len(v))
 			}
 		}
@@ -387,12 +370,12 @@ func TestTierWriteRaceNeverServesStale(t *testing.T) {
 
 	p2 := p // both procs are done; reuse the platform for the final check
 	p2.Go("check", 0, func(ctx *platform.MemCtx) {
-		v, ok := tier.Get(ctx, k)
+		v, ok := get(ctx, tier, k)
 		if !ok || !bytes.Equal(v, valFor(11, rounds)) {
 			t.Errorf("final read: ok=%v rev=%d, want rev %d (stale fill published?)",
 				ok, binary.LittleEndian.Uint64(v[8:]), rounds)
 		}
-		v, ok = tier.Get(ctx, k) // and whatever is cached now must also be final
+		v, ok = get(ctx, tier, k) // and whatever is cached now must also be final
 		if !ok || !bytes.Equal(v, valFor(11, rounds)) {
 			t.Errorf("final cached read: ok=%v, want rev %d", ok, rounds)
 		}

@@ -71,7 +71,7 @@ type DB struct {
 	pmReg     pmem.Region
 	sstCopier *pmem.Copier
 
-	// getScratch stages SST record loads for GetInto; grown on demand, it
+	// getScratch stages SST record loads for lookups; grown on demand, it
 	// amortizes to zero allocation on the serving read path. Guarded by mu.
 	getScratch []byte
 
@@ -212,39 +212,33 @@ func (db *DB) applyLocked(ctx *platform.MemCtx, key, val []byte, tomb bool) erro
 	return nil
 }
 
-// Get returns the newest value for key. A tombstone anywhere above an
-// older version hides it.
-func (db *DB) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
+// Get returns the newest value for key in a fresh slice.
+func (db *DB) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) { return db.get(ctx, key, nil) }
+
+// GetInto loads the newest value for key into dst and returns its full
+// length (ok reports presence); a value longer than dst fills dst with its
+// prefix.
+func (db *DB) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
+	val, ok := db.get(ctx, key, dst)
+	copy(dst, val)
+	return len(val), ok
+}
+
+// get is the one lookup: memtable first, then tables newest-first, with a
+// tombstone anywhere above an older version hiding it. The value lands in
+// dst when it fits, or in a fresh slice of its size when it does not.
+func (db *DB) get(ctx *platform.MemCtx, key, dst []byte) ([]byte, bool) {
 	db.mu.Lock(ctx.Proc())
 	defer db.mu.Unlock()
-	if v, ok, tomb := db.mem.Find(ctx, key); ok || tomb {
+	if v, ok, tomb := db.mem.Find(ctx, key, dst); ok || tomb {
 		return v, ok
 	}
 	for i := len(db.ssts) - 1; i >= 0; i-- {
-		if v, ok, tomb := db.ssts[i].find(ctx, db.pmReg, key); ok || tomb {
+		if v, ok, tomb := db.ssts[i].find(ctx, db.pmReg, key, dst, &db.getScratch); ok || tomb {
 			return v, ok
 		}
 	}
 	return nil, false
-}
-
-// GetInto is the allocation-free Get: the newest value for key lands in
-// dst and its full length is returned (ok reports presence). The lookup
-// issues exactly the loads Get issues — memtable first, then tables
-// newest-first — so simulated timing is identical and only the Go-heap
-// behavior differs (GetInto parity with pmemkv's CMap).
-func (db *DB) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
-	db.mu.Lock(ctx.Proc())
-	defer db.mu.Unlock()
-	if n, ok, tomb := db.mem.FindInto(ctx, key, dst); ok || tomb {
-		return n, ok
-	}
-	for i := len(db.ssts) - 1; i >= 0; i-- {
-		if n, ok, tomb := db.ssts[i].findInto(ctx, db.pmReg, key, dst, &db.getScratch); ok || tomb {
-			return n, ok
-		}
-	}
-	return 0, false
 }
 
 // flushLocked writes the memtable to a fresh SST (sequential non-temporal
@@ -333,7 +327,7 @@ func (db *DB) compactLocked(ctx *platform.MemCtx) error {
 				continue
 			}
 			seen[k] = true
-			_, v, tomb, err := t.read(ctx, db.pmReg, ie)
+			_, v, tomb, err := decodeRecord(t.read(ctx, db.pmReg, ie, nil))
 			if err != nil {
 				return err
 			}
@@ -376,61 +370,37 @@ func (db *DB) Compactions() int { return db.compactions }
 // Tables reports the current SST count.
 func (db *DB) Tables() int { return len(db.ssts) }
 
-// read loads and decodes the record behind one index entry.
-func (t *sst) read(ctx *platform.MemCtx, pm pmem.Region, ie sstIndexEntry) (key, val []byte, tomb bool, err error) {
+// read loads the record behind one index entry into buf when it fits, or
+// into a fresh slice when it does not, and returns it undecoded.
+func (t *sst) read(ctx *platform.MemCtx, pm pmem.Region, ie sstIndexEntry, buf []byte) []byte {
 	var n [4]byte
 	pm.LoadInto(ctx, t.base+ie.off, n[:])
-	rec := make([]byte, binary.LittleEndian.Uint32(n[:]))
-	pm.LoadInto(ctx, t.base+ie.off+4, rec)
-	return decodeRecord(rec)
+	return pm.LoadFit(ctx, t.base+ie.off+4, int(binary.LittleEndian.Uint32(n[:])), buf)
 }
 
-func (t *sst) find(ctx *platform.MemCtx, pm pmem.Region, key []byte) (val []byte, ok, tomb bool) {
+// find looks key up in the table. The record stages through scratch,
+// grown on demand, and the value lands in dst when it fits, or in a fresh
+// slice of its size when it does not.
+func (t *sst) find(ctx *platform.MemCtx, pm pmem.Region, key, dst []byte, scratch *[]byte) (val []byte, ok, tomb bool) {
 	i := sort.Search(len(t.index), func(i int) bool {
 		return bytes.Compare(t.index[i].key, key) >= 0
 	})
 	if i >= len(t.index) || !bytes.Equal(t.index[i].key, key) {
 		return nil, false, false
 	}
-	k, v, tomb, err := t.read(ctx, pm, t.index[i])
+	rec := t.read(ctx, pm, t.index[i], *scratch)
+	*scratch = rec[:cap(rec)]
+	k, v, tomb, err := decodeRecord(rec)
 	if err != nil || !bytes.Equal(k, key) {
 		return nil, false, false
 	}
 	if tomb {
 		return nil, false, true
 	}
-	return v, true, false
-}
-
-// findInto is find with the record staged through scratch (grown on
-// demand) and the value copied into dst: the same 4-byte length load and
-// whole-record load as read, with no per-lookup allocation once scratch
-// has reached the table's record size.
-func (t *sst) findInto(ctx *platform.MemCtx, pm pmem.Region, key, dst []byte, scratch *[]byte) (n int, ok, tomb bool) {
-	i := sort.Search(len(t.index), func(i int) bool {
-		return bytes.Compare(t.index[i].key, key) >= 0
-	})
-	if i >= len(t.index) || !bytes.Equal(t.index[i].key, key) {
-		return 0, false, false
+	if len(v) > len(dst) {
+		return bytes.Clone(v), true, false
 	}
-	ie := t.index[i]
-	var nbuf [4]byte
-	pm.LoadInto(ctx, t.base+ie.off, nbuf[:])
-	recLen := int(binary.LittleEndian.Uint32(nbuf[:]))
-	if recLen > len(*scratch) {
-		*scratch = make([]byte, recLen)
-	}
-	rec := (*scratch)[:recLen]
-	pm.LoadInto(ctx, t.base+ie.off+4, rec)
-	k, v, tomb, err := decodeRecord(rec)
-	if err != nil || !bytes.Equal(k, key) {
-		return 0, false, false
-	}
-	if tomb {
-		return 0, false, true
-	}
-	copy(dst, v)
-	return len(v), true, false
+	return dst[:copy(dst, v)], true, false
 }
 
 // tombstoneLen is the valLen sentinel marking a delete record (values are

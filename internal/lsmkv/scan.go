@@ -39,8 +39,8 @@ func (c *memCursor) step(ctx *platform.MemCtx) {
 		return
 	}
 	c.cur = c.s.loadNode(ctx, nextOff)
-	c.key = c.s.nodeKey(ctx, c.cur)
-	c.val = c.s.nodeVal(ctx, c.cur)
+	c.key = c.s.nodeKeyInto(ctx, c.cur, nil)
+	c.val = c.s.nodeValInto(ctx, c.cur, nil)
 	c.tomb = c.cur.tomb
 }
 
@@ -83,7 +83,7 @@ func (c *sstCursor) peek(ctx *platform.MemCtx) ([]byte, []byte, bool, bool) {
 		return nil, nil, false, false
 	}
 	if !c.loaded {
-		k, v, tomb, err := c.t.read(ctx, c.db.pmReg, c.t.index[c.i])
+		k, v, tomb, err := decodeRecord(c.t.read(ctx, c.db.pmReg, c.t.index[c.i], nil))
 		if err != nil {
 			c.i = len(c.t.index)
 			return nil, nil, false, false

@@ -122,31 +122,17 @@ func (s *Skiplist) loadNext(ctx *platform.MemCtx, n nodeRef, level int) int64 {
 	return int64(binary.LittleEndian.Uint64(buf[:]))
 }
 
-func (s *Skiplist) nodeKey(ctx *platform.MemCtx, n nodeRef) []byte {
-	key := make([]byte, n.keyLen)
-	s.reg.LoadInto(ctx, n.off+nodeHeaderSize+int64(n.height)*8, key)
-	return key
-}
-
-// nodeKeyInto loads n's key through buf when it fits (the serving hot path
-// must not allocate per chain hop, matching pmemkv's find); longer keys
-// fall back to a transient buffer. The same bytes travel the memory
-// hierarchy either way, so simulated timing is identical to nodeKey.
+// nodeKeyInto loads n's key into buf when it fits, or into a fresh slice
+// when it does not: lookups probe through a stack buffer so the serving hot
+// path does not allocate per chain hop, while walks that keep the key pass
+// nil.
 func (s *Skiplist) nodeKeyInto(ctx *platform.MemCtx, n nodeRef, buf []byte) []byte {
-	var key []byte
-	if n.keyLen > len(buf) {
-		key = make([]byte, n.keyLen)
-	} else {
-		key = buf[:n.keyLen]
-	}
-	s.reg.LoadInto(ctx, n.off+nodeHeaderSize+int64(n.height)*8, key)
-	return key
+	return s.reg.LoadFit(ctx, n.off+nodeHeaderSize+int64(n.height)*8, n.keyLen, buf)
 }
 
-func (s *Skiplist) nodeVal(ctx *platform.MemCtx, n nodeRef) []byte {
-	val := make([]byte, n.valLen)
-	s.reg.LoadInto(ctx, n.off+nodeHeaderSize+int64(n.height)*8+int64(n.keyLen), val)
-	return val
+// nodeValInto loads n's value the same way.
+func (s *Skiplist) nodeValInto(ctx *platform.MemCtx, n nodeRef, buf []byte) []byte {
+	return s.reg.LoadFit(ctx, n.off+nodeHeaderSize+int64(n.height)*8+int64(n.keyLen), n.valLen, buf)
 }
 
 // findPredecessors returns, per level, the node after which key belongs.
@@ -261,65 +247,33 @@ func (s *Skiplist) insert(ctx *platform.MemCtx, key, val []byte, tomb bool) erro
 	return nil
 }
 
-// Get returns the newest value for key. A tombstoned key reads as absent
-// (use Find when the caller must distinguish deletion from absence).
+// Get returns the newest value for key in a fresh slice. A tombstoned key
+// reads as absent (use Find when the caller must distinguish deletion from
+// absence).
 func (s *Skiplist) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
-	val, ok, tomb := s.Find(ctx, key)
-	if tomb {
-		return nil, false
-	}
+	val, ok, _ := s.Find(ctx, key, nil)
 	return val, ok
 }
 
-// Find returns the newest value for key, reporting a tombstone separately
-// so a layered store can stop its lookup instead of falling through to
-// older tables.
-func (s *Skiplist) Find(ctx *platform.MemCtx, key []byte) (val []byte, ok, tomb bool) {
+// Find is the one lookup: it loads the newest value for key into dst when
+// it fits, or into a fresh slice of the value's size when it does not, and
+// returns it. A tombstone is reported separately so a layered store can
+// stop its lookup instead of falling through to older tables.
+func (s *Skiplist) Find(ctx *platform.MemCtx, key, dst []byte) (val []byte, ok, tomb bool) {
 	preds := s.findPredecessors(ctx, key)
 	nextOff := s.loadNext(ctx, preds[0], 0)
 	if nextOff == 0 {
 		return nil, false, false
 	}
 	n := s.loadNode(ctx, nextOff)
-	if !bytes.Equal(s.nodeKey(ctx, n), key) {
+	var kbuf [64]byte
+	if !bytes.Equal(s.nodeKeyInto(ctx, n, kbuf[:]), key) {
 		return nil, false, false
 	}
 	if n.tomb {
 		return nil, false, true
 	}
-	return s.nodeVal(ctx, n), true, false
-}
-
-// FindInto is Find with the value landing in dst: the newest value's full
-// length is returned (ok/tomb as in Find) and no allocation happens for
-// keys and values that fit the caller's buffers. A value longer than dst
-// loads through a transient buffer — identical simulated timing, only the
-// Go-heap behavior differs.
-func (s *Skiplist) FindInto(ctx *platform.MemCtx, key, dst []byte) (n int, ok, tomb bool) {
-	preds := s.findPredecessors(ctx, key)
-	nextOff := s.loadNext(ctx, preds[0], 0)
-	if nextOff == 0 {
-		return 0, false, false
-	}
-	nd := s.loadNode(ctx, nextOff)
-	var kbuf [64]byte
-	if !bytes.Equal(s.nodeKeyInto(ctx, nd, kbuf[:]), key) {
-		return 0, false, false
-	}
-	if nd.tomb {
-		return 0, false, true
-	}
-	val := dst
-	if nd.valLen > len(dst) {
-		val = make([]byte, nd.valLen)
-	} else {
-		val = dst[:nd.valLen]
-	}
-	s.reg.LoadInto(ctx, nd.off+nodeHeaderSize+int64(nd.height)*8+int64(nd.keyLen), val)
-	if nd.valLen > len(dst) {
-		copy(dst, val)
-	}
-	return nd.valLen, true, false
+	return s.nodeValInto(ctx, n, dst), true, false
 }
 
 // Scan walks entries in key order, newest version first for duplicates,
@@ -332,7 +286,7 @@ func (s *Skiplist) Scan(ctx *platform.MemCtx, fn func(key, val []byte, tomb bool
 			return
 		}
 		cur = s.loadNode(ctx, nextOff)
-		if !fn(s.nodeKey(ctx, cur), s.nodeVal(ctx, cur), cur.tomb) {
+		if !fn(s.nodeKeyInto(ctx, cur, nil), s.nodeValInto(ctx, cur, nil), cur.tomb) {
 			return
 		}
 	}
@@ -349,7 +303,7 @@ func (s *Skiplist) ScanFrom(ctx *platform.MemCtx, start []byte, fn func(key, val
 			return
 		}
 		cur = s.loadNode(ctx, nextOff)
-		if !fn(s.nodeKey(ctx, cur), s.nodeVal(ctx, cur), cur.tomb) {
+		if !fn(s.nodeKeyInto(ctx, cur, nil), s.nodeValInto(ctx, cur, nil), cur.tomb) {
 			return
 		}
 	}

@@ -79,6 +79,18 @@ func (r Region) LoadInto(ctx *platform.MemCtx, off int64, buf []byte) {
 	ctx.LoadInto(r.ns, r.base+off, buf)
 }
 
+// LoadFit reads size bytes at off into buf when they fit, or into a fresh
+// slice when they do not, and returns the bytes read. The simulated load
+// is the same either way; only where the bytes land differs.
+func (r Region) LoadFit(ctx *platform.MemCtx, off int64, size int, buf []byte) []byte {
+	if size > len(buf) {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	r.LoadInto(ctx, off, buf)
+	return buf
+}
+
 // LoadStream issues pipelined reads (see MemCtx.LoadStream).
 func (r Region) LoadStream(ctx *platform.MemCtx, off int64, size int) {
 	r.check(off, size)

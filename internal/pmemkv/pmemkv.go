@@ -146,17 +146,9 @@ func (m *CMap) find(ctx *platform.MemCtx, key []byte) (entryMeta, int64, bool) {
 		meta := m.readMeta(ctx, cur)
 		if meta.hash == h && meta.keyLen == len(key) {
 			// Probe keys through a stack buffer: find is on the serving hot
-			// path and must not allocate per chain hop (keys longer than the
-			// buffer fall back, matching the old behavior).
+			// path and must not allocate per chain hop.
 			var kbuf [64]byte
-			var k []byte
-			if meta.keyLen > len(kbuf) {
-				k = make([]byte, meta.keyLen)
-			} else {
-				k = kbuf[:meta.keyLen]
-			}
-			m.reg.LoadInto(ctx, cur+entryHeader, k)
-			if bytes.Equal(k, key) {
+			if bytes.Equal(m.reg.LoadFit(ctx, cur+entryHeader, meta.keyLen, kbuf[:]), key) {
 				return meta, ptrOff, true
 			}
 		}
@@ -166,8 +158,21 @@ func (m *CMap) find(ctx *platform.MemCtx, key []byte) (entryMeta, int64, bool) {
 	return entryMeta{}, 0, false
 }
 
-// Get returns the value for key.
-func (m *CMap) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
+// Get returns the value for key in a fresh slice.
+func (m *CMap) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) { return m.get(ctx, key, nil) }
+
+// GetInto loads the value for key into dst and returns its full length
+// (ok reports presence); a value longer than dst fills dst with its
+// prefix.
+func (m *CMap) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
+	val, ok := m.get(ctx, key, dst)
+	copy(dst, val)
+	return len(val), ok
+}
+
+// get is the one lookup: it loads the value into dst when it fits, or into
+// a fresh slice of the value's size when it does not, and returns it.
+func (m *CMap) get(ctx *platform.MemCtx, key, dst []byte) ([]byte, bool) {
 	lock := m.lockFor(hashKey(key))
 	lock.Lock(ctx.Proc())
 	defer lock.Unlock()
@@ -175,35 +180,7 @@ func (m *CMap) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	val := make([]byte, meta.vLen)
-	m.reg.LoadInto(ctx, meta.off+entryHeader+int64(meta.keyLen), val)
-	return val, true
-}
-
-// GetInto is the allocation-free Get: the value is loaded into dst and its
-// full length returned (ok reports presence). A value longer than dst is
-// loaded through a transient buffer instead — the same bytes travel the
-// memory hierarchy either way, so simulated timing is identical to Get and
-// only the Go-heap behavior differs.
-func (m *CMap) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
-	lock := m.lockFor(hashKey(key))
-	lock.Lock(ctx.Proc())
-	defer lock.Unlock()
-	meta, _, ok := m.find(ctx, key)
-	if !ok {
-		return 0, false
-	}
-	val := dst
-	if meta.vLen > len(dst) {
-		val = make([]byte, meta.vLen)
-	} else {
-		val = dst[:meta.vLen]
-	}
-	m.reg.LoadInto(ctx, meta.off+entryHeader+int64(meta.keyLen), val)
-	if meta.vLen > len(dst) {
-		copy(dst, val)
-	}
-	return meta.vLen, true
+	return m.reg.LoadFit(ctx, meta.off+entryHeader+int64(meta.keyLen), meta.vLen, dst), true
 }
 
 // Put inserts or updates key. Same-size updates happen in place through

@@ -71,11 +71,12 @@ func record(t *testing.T, ctx *platform.MemCtx, pair *Pair, id int64) {
 func checkReplayed(t *testing.T, ctx *platform.MemCtx, be service.Backend, ids ...int64) {
 	t.Helper()
 	for _, id := range ids {
-		got, ok := be.Get(ctx, service.KeyFor(id, testKeySize))
+		got := make([]byte, testValSize)
+		n, ok := be.GetInto(ctx, service.KeyFor(id, testKeySize), got)
 		if !ok {
 			t.Fatalf("key %d missing from promoted backend", id)
 		}
-		if want := service.ValFor(id+1000, testValSize); !bytes.Equal(got, want) {
+		if want := service.ValFor(id+1000, testValSize); n != len(want) || !bytes.Equal(got, want) {
 			t.Fatalf("key %d: promoted backend serves the preload value, not the replicated write", id)
 		}
 	}
@@ -181,11 +182,12 @@ func TestTornShipmentDiscarded(t *testing.T) {
 		checkReplayed(t, ctx, be, 0, 3)
 		// The torn shipment's writes must NOT have been replayed: key 4
 		// still serves its preload value.
-		got, ok := be.Get(ctx, service.KeyFor(4, testKeySize))
+		got := make([]byte, testValSize)
+		n, ok := be.GetInto(ctx, service.KeyFor(4, testKeySize), got)
 		if !ok {
 			t.Fatal("key 4 missing")
 		}
-		if bytes.Equal(got, service.ValFor(4+1000, testValSize)) {
+		if n == testValSize && bytes.Equal(got, service.ValFor(4+1000, testValSize)) {
 			t.Error("torn (never-acknowledged) shipment was replayed")
 		}
 	})

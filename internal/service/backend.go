@@ -17,7 +17,7 @@ import (
 // memory context, so service time is the engine's real (simulated) memory
 // cost and queueing delay composes with it into end-to-end latency.
 type Backend interface {
-	Get(ctx *platform.MemCtx, key []byte) ([]byte, bool)
+	BufferGetter
 	Put(ctx *platform.MemCtx, key, val []byte) error
 	// Scan reads up to n records in key order starting at key, returning
 	// how many it touched. lsmkv serves it natively (a sorted memtable +
@@ -30,13 +30,11 @@ type Backend interface {
 	Delete(ctx *platform.MemCtx, key []byte) error
 }
 
-// BufferGetter is the allocation-free read path a Backend may additionally
-// implement: the value lands in the caller's buffer (its full length is
-// returned) instead of a freshly allocated slice. The dispatch hot path
-// prefers it — a GET against a BufferGetter backend reads into the worker's
-// scratch and stays off the Go heap, which is what keeps the steady-state
-// dispatch loop at zero allocations per op. The bytes moved through the
-// simulated hierarchy are identical to Get, so timing does not change.
+// BufferGetter is a Backend's read: the value lands in the caller's buffer
+// and its full length is returned (ok reports presence). A value longer
+// than dst costs the same simulated loads and fills dst with its prefix. A
+// GET reads into the worker's scratch and stays off the Go heap, which is
+// what keeps the steady-state dispatch loop at zero allocations per op.
 type BufferGetter interface {
 	GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool)
 }
@@ -177,7 +175,7 @@ func (bs BackendSpec) namespace(p *platform.Platform, suffix string) (*platform.
 
 // emulateScan is the shared emulated range read: n point lookups of the
 // successive key ids, wrapping inside the shard that owns the start key.
-func emulateScan(ctx *platform.MemCtx, get func(*platform.MemCtx, []byte) ([]byte, bool), start []byte, n int, span int64, keySize int) int {
+func emulateScan(ctx *platform.MemCtx, get func(ctx *platform.MemCtx, key, dst []byte) (int, bool), start []byte, n int, span int64, keySize int) int {
 	id := KeyID(start)
 	base := id
 	if span > 0 {
@@ -188,7 +186,7 @@ func emulateScan(ctx *platform.MemCtx, get func(*platform.MemCtx, []byte) ([]byt
 		if span > 0 {
 			next = base + (id-base+int64(i))%span
 		}
-		get(ctx, KeyFor(next, keySize))
+		get(ctx, KeyFor(next, keySize), nil)
 	}
 	return n
 }
@@ -201,10 +199,6 @@ type cmapBackend struct {
 	keySize int
 }
 
-func (b *cmapBackend) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
-	return b.m.Get(ctx, key)
-}
-
 func (b *cmapBackend) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
 	return b.m.GetInto(ctx, key, dst)
 }
@@ -214,7 +208,7 @@ func (b *cmapBackend) Put(ctx *platform.MemCtx, key, val []byte) error {
 }
 
 func (b *cmapBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int {
-	return emulateScan(ctx, b.m.Get, key, n, b.span, b.keySize)
+	return emulateScan(ctx, b.m.GetInto, key, n, b.span, b.keySize)
 }
 
 func (b *cmapBackend) Delete(ctx *platform.MemCtx, key []byte) error {
@@ -267,10 +261,6 @@ type lsmBackend struct {
 	native  bool
 }
 
-func (b *lsmBackend) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
-	return b.db.Get(ctx, key)
-}
-
 func (b *lsmBackend) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
 	return b.db.GetInto(ctx, key, dst)
 }
@@ -283,7 +273,7 @@ func (b *lsmBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int {
 	if b.native {
 		return b.db.Scan(ctx, key, n, func(_, _ []byte) bool { return true })
 	}
-	return emulateScan(ctx, b.db.Get, key, n, b.span, b.keySize)
+	return emulateScan(ctx, b.db.GetInto, key, n, b.span, b.keySize)
 }
 
 func (b *lsmBackend) Delete(ctx *platform.MemCtx, key []byte) error {
@@ -360,16 +350,6 @@ type memModeBackend struct {
 
 func (b *memModeBackend) recOff(id int64) int64 { return id * int64(b.valSize) }
 
-func (b *memModeBackend) Get(ctx *platform.MemCtx, key []byte) ([]byte, bool) {
-	id := KeyID(key)
-	if id < 0 || id >= b.keys || !b.present[id] {
-		return nil, false
-	}
-	val := make([]byte, b.valSize)
-	b.mm.Load(ctx, b.recOff(id), len(val), val)
-	return val, true
-}
-
 func (b *memModeBackend) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
 	id := KeyID(key)
 	if id < 0 || id >= b.keys || !b.present[id] {
@@ -378,13 +358,9 @@ func (b *memModeBackend) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bo
 	val := dst
 	if b.valSize > len(dst) {
 		val = make([]byte, b.valSize)
-	} else {
-		val = dst[:b.valSize]
 	}
-	b.mm.Load(ctx, b.recOff(id), len(val), val)
-	if b.valSize > len(dst) {
-		copy(dst, val)
-	}
+	b.mm.Load(ctx, b.recOff(id), b.valSize, val)
+	copy(dst, val)
 	return b.valSize, true
 }
 
@@ -402,7 +378,7 @@ func (b *memModeBackend) Put(ctx *platform.MemCtx, key, val []byte) error {
 }
 
 func (b *memModeBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int {
-	return emulateScan(ctx, b.Get, key, n, b.span, b.keySize)
+	return emulateScan(ctx, b.GetInto, key, n, b.span, b.keySize)
 }
 
 func (b *memModeBackend) Delete(ctx *platform.MemCtx, key []byte) error {

@@ -138,6 +138,13 @@ func RunPoint(spec harness.Spec, r *harness.ParamReader, build func(fs FabricSpe
 	if tenants < 1 {
 		return harness.Trial{}, fmt.Errorf("service: tenants must be >= 1, got %d", tenants)
 	}
+	// Keys and values carry an 8-byte id (KeyInto, ValInto).
+	if keySize < 8 {
+		return harness.Trial{}, fmt.Errorf("service: keysize must be >= 8, got %d", keySize)
+	}
+	if valSize < 8 {
+		return harness.Trial{}, fmt.Errorf("service: valsize must be >= 8, got %d", valSize)
+	}
 	if hotKeys == 0 {
 		hotKeys = keys/20 + 1
 	}

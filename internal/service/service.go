@@ -374,7 +374,7 @@ func Serve(cfg Config) (*Result, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("service: at least one tenant required")
 	}
-	if cfg.Keys < 1 || cfg.KeySize < 8 || cfg.Duration <= 0 {
+	if cfg.Keys < 1 || cfg.KeySize < 8 || cfg.ValSize < 8 || cfg.Duration <= 0 {
 		return nil, errors.New("service: bad keyspace or duration")
 	}
 	total := cfg.GetFrac + cfg.PutFrac + cfg.ScanFrac + cfg.DelFrac
@@ -746,13 +746,7 @@ func execute(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, req req
 	KeyInto(sc.key, req.key)
 	switch req.op {
 	case OpGet:
-		// Prefer the buffered read: same simulated cost as Get, but the
-		// value lands in the worker's scratch instead of a fresh slice.
-		if bg, ok := shard.Backend.(BufferGetter); ok {
-			bg.GetInto(ctx, sc.key, sc.val)
-			return nil
-		}
-		shard.Backend.Get(ctx, sc.key)
+		shard.Backend.GetInto(ctx, sc.key, sc.val)
 		return nil
 	case OpPut:
 		ValInto(sc.val, req.key+1)

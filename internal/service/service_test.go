@@ -245,10 +245,11 @@ func TestBackendScanDelete(t *testing.T) {
 					scanErr = err
 					return
 				}
-				if v, ok := be.Get(ctx, KeyFor(7, 16)); ok {
-					t.Errorf("deleted key still returns %q", v)
+				val := make([]byte, 64)
+				if n, ok := be.GetInto(ctx, KeyFor(7, 16), val); ok {
+					t.Errorf("deleted key still returns %q", val[:n])
 				}
-				if _, ok := be.Get(ctx, KeyFor(8, 16)); !ok {
+				if _, ok := be.GetInto(ctx, KeyFor(8, 16), val); !ok {
 					t.Error("neighbor key lost after delete")
 				}
 			})
@@ -314,7 +315,7 @@ func TestBackendSpecValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2.Go("t", 0, func(ctx *platform.MemCtx) {
-		if _, ok := be.Get(ctx, KeyFor(25, 16)); !ok {
+		if _, ok := be.GetInto(ctx, KeyFor(25, 16), nil); !ok {
 			t.Error("preloaded key missing on custom-sized namespace")
 		}
 	})
