@@ -23,8 +23,7 @@ type xpBuffer struct {
 	liveCount int
 	free      *xpEntry // recycled entries, chained through next
 
-	inflight     []sim.Time
-	inflightHead int
+	inflight sim.Queue[sim.Time] // media write-back completion times, FIFO
 }
 
 func (b *xpBuffer) init(capacity int) {
@@ -91,7 +90,7 @@ func (b *xpBuffer) insert(line int64) *xpEntry {
 }
 
 // remove deletes e from the live set (slot accounting is the caller's job:
-// dirty evictions must be re-registered via addInflight) and parks it on
+// dirty evictions must be pushed onto inflight) and parks it on
 // the free list. Callers may still read e's fields until the next insert,
 // which is when the slot is reused.
 func (b *xpBuffer) remove(e *xpEntry) {
@@ -125,34 +124,18 @@ func (b *xpBuffer) lruPartial(except int64) *xpEntry {
 	return nil
 }
 
-// addInflight registers a slot occupied by a media writeback completing at
-// the given time. Completion times are nondecreasing (media is FIFO).
-func (b *xpBuffer) addInflight(done sim.Time) {
-	b.inflight = append(b.inflight, done)
-}
-
+// trimInflight frees the slots of write-backs completed by t. Completion
+// times are nondecreasing (media is FIFO).
 func (b *xpBuffer) trimInflight(t sim.Time) {
-	for b.inflightHead < len(b.inflight) && b.inflight[b.inflightHead] <= t {
-		b.inflightHead++
+	for b.inflight.Len() > 0 && b.inflight.At(0) <= t {
+		b.inflight.Pop()
 	}
-	if b.inflightHead > 256 && b.inflightHead*2 >= len(b.inflight) {
-		b.inflight = append(b.inflight[:0], b.inflight[b.inflightHead:]...)
-		b.inflightHead = 0
-	}
-}
-
-// nextInflight returns the earliest in-flight completion.
-func (b *xpBuffer) nextInflight() (sim.Time, bool) {
-	if b.inflightHead < len(b.inflight) {
-		return b.inflight[b.inflightHead], true
-	}
-	return 0, false
 }
 
 // full reports whether no slot is available at time t.
 func (b *xpBuffer) full(t sim.Time) bool {
 	b.trimInflight(t)
-	return b.liveCount+(len(b.inflight)-b.inflightHead) >= b.cap
+	return b.liveCount+b.inflight.Len() >= b.cap
 }
 
 // streamTracker estimates how many distinct write streams are concurrently

@@ -196,7 +196,7 @@ func (d *XPDIMM) evict(t sim.Time, e *xpEntry) {
 	useful := popcount4(e.dirty) * mem.CacheLine
 	rmw := e.dirty != 0xF && !e.valid
 	end := d.mediaWrite(t, e.line, useful, rmw)
-	d.buf.addInflight(end)
+	d.buf.inflight.Push(end)
 }
 
 // allocate obtains a buffer slot for line, evicting and waiting as
@@ -211,7 +211,7 @@ func (d *XPDIMM) allocate(t sim.Time, line int64) (*xpEntry, sim.Time) {
 	if d.buf.full(t) {
 		if v := d.buf.lruClean(); v != nil {
 			d.buf.remove(v)
-		} else if _, ok := d.buf.nextInflight(); !ok {
+		} else if d.buf.inflight.Len() == 0 {
 			if v := d.buf.lru(); v != nil {
 				d.evict(t, v)
 			}
@@ -220,11 +220,10 @@ func (d *XPDIMM) allocate(t sim.Time, line int64) (*xpEntry, sim.Time) {
 		// the backpressure that ultimately throttles WPQ drain to media
 		// speed.
 		for d.buf.full(t) {
-			next, ok := d.buf.nextInflight()
-			if !ok {
+			if d.buf.inflight.Len() == 0 {
 				panic("dimm: buffer full with no evictable entries")
 			}
-			if next > t {
+			if next := d.buf.inflight.At(0); next > t {
 				t = next
 			}
 			d.buf.trimInflight(t)
@@ -246,5 +245,5 @@ func popcount4(m uint8) int {
 // BufferOccupancy reports live and in-flight slots (for tests).
 func (d *XPDIMM) BufferOccupancy(t sim.Time) (live, inflight int) {
 	d.buf.trimInflight(t)
-	return d.buf.liveCount, len(d.buf.inflight) - d.buf.inflightHead
+	return d.buf.liveCount, d.buf.inflight.Len()
 }

@@ -37,8 +37,7 @@ type Channel struct {
 	cfg ChannelConfig
 	bus sim.Server
 
-	wpqs      []wpqState // one per attached DIMM, in first-use order
-	postCount int64
+	wpqs []wpqState // one per attached DIMM, in first-use order
 }
 
 type wpqState struct {
@@ -93,13 +92,7 @@ func (c *Channel) PostWrite(t sim.Time, d dimm.DIMM, addr int64) (accepted, drai
 	}
 	w.lastDrain = drained
 	w.q.Push(accepted, drained)
-	c.postCount++
 	return accepted, drained
-}
-
-// WPQOccupancy reports the queued entries for a DIMM at time t (test hook).
-func (c *Channel) WPQOccupancy(t sim.Time, d dimm.DIMM) int {
-	return c.wpq(d).q.Occupancy(t)
 }
 
 // WPQOccupancyTime reports a DIMM's cumulative WPQ entry-residency
@@ -116,9 +109,6 @@ func (c *Channel) WPQOccupancyTime(d dimm.DIMM) sim.Time {
 func (c *Channel) WPQStallTime(d dimm.DIMM) sim.Time {
 	return c.wpq(d).stall
 }
-
-// Posts returns the number of writes posted on this channel.
-func (c *Channel) Posts() int64 { return c.postCount }
 
 // BusBusy returns cumulative bus occupancy (utilization accounting).
 func (c *Channel) BusBusy() sim.Time { return c.bus.BusyTime() }

@@ -30,9 +30,8 @@ type MemCtx struct {
 	pendingAck sim.Time
 	hasPending bool
 
-	loads    []sim.Time
-	loadHead int
-	loadMax  sim.Time
+	loads   sim.Queue[sim.Time] // completion times of outstanding loads, in issue order
+	loadMax sim.Time
 
 	// rfoDone tracks when a store-miss's ownership read completes per
 	// line: a write-back of that line cannot be posted earlier (the store
@@ -41,78 +40,14 @@ type MemCtx struct {
 	rfoDone map[int64]sim.Time
 }
 
-// dimmWindow is a thread's WPQ window on one DIMM. A thread touches few
-// DIMMs, so a slice searched by identity beats hashing the interface.
+// dimmWindow is a thread's WPQ window on one DIMM: the drain times of
+// its un-drained tracked posts there, capped at StoreWindow (the paper's
+// 256 B per-thread WPQ window). A thread touches few DIMMs, so a slice
+// searched by identity beats hashing the interface.
 type dimmWindow struct {
-	d    dimm.DIMM
-	ring *drainRing
+	d      dimm.DIMM
+	drains *sim.Queue[sim.Time]
 }
-
-// drainRing caps the number of un-drained WPQ entries a thread may have on
-// one DIMM (the paper's 256 B per-thread WPQ window). It is a fixed-size
-// circular buffer: the hot postLine path reuses the same backing array
-// instead of reslicing-and-appending a fresh slice per tracked write.
-type drainRing struct {
-	times []sim.Time // circular storage, sized to the window capacity
-	head  int        // index of the oldest live entry
-	n     int        // live entries
-}
-
-// push appends t. When the ring already holds capacity entries, the oldest
-// is evicted and returned (the drain the caller must wait for); otherwise
-// zero is returned.
-func (r *drainRing) push(t sim.Time, capacity int) sim.Time {
-	if len(r.times) != capacity {
-		r.resize(capacity)
-	}
-	wait := sim.Time(0)
-	if r.n == capacity {
-		wait = r.times[r.head]
-		r.head++
-		if r.head == capacity {
-			r.head = 0
-		}
-		r.n--
-	}
-	i := r.head + r.n
-	if i >= capacity {
-		i -= capacity
-	}
-	r.times[i] = t
-	r.n++
-	return wait
-}
-
-// setLast overwrites the most recently pushed entry.
-func (r *drainRing) setLast(t sim.Time) {
-	i := r.head + r.n - 1
-	if i >= len(r.times) {
-		i -= len(r.times)
-	}
-	r.times[i] = t
-}
-
-// resize re-sizes the storage (the window capacity is fixed per platform
-// config, so this runs once per ring in practice), preserving live entries
-// in order.
-func (r *drainRing) resize(capacity int) {
-	fresh := make([]sim.Time, capacity)
-	keep := r.n
-	if keep > capacity {
-		keep = capacity
-	}
-	for i := 0; i < keep; i++ {
-		// Drop the oldest entries first when shrinking.
-		j := r.head + r.n - keep + i
-		if len(r.times) > 0 {
-			j %= len(r.times)
-		}
-		fresh[i] = r.times[j]
-	}
-	r.times, r.head, r.n = fresh, 0, keep
-}
-
-func (r *drainRing) reset() { r.head, r.n = 0, 0 }
 
 // Proc returns the owning simulated thread.
 func (c *MemCtx) Proc() *sim.Proc { return c.proc }
@@ -135,24 +70,24 @@ func (c *MemCtx) ackTime(xp, remote bool) sim.Time {
 	return ack
 }
 
-func (c *MemCtx) window(d dimm.DIMM) *drainRing {
+func (c *MemCtx) window(d dimm.DIMM) *sim.Queue[sim.Time] {
 	for _, w := range c.windows {
 		if w.d == d {
-			return w.ring
+			return w.drains
 		}
 	}
-	r := c.p.getRing()
-	c.windows = append(c.windows, dimmWindow{d: d, ring: r})
-	return r
+	q := c.p.getWindow()
+	c.windows = append(c.windows, dimmWindow{d: d, drains: q})
+	return q
 }
 
 // recycle returns the context's per-DIMM windows to the platform pool once
-// its thread has finished; later threads reuse the ring storage instead of
-// allocating fresh windows. Safe because procs run exclusively.
+// its thread has finished; later threads reuse the window storage instead
+// of allocating fresh windows. Safe because procs run exclusively.
 func (c *MemCtx) recycle() {
 	for _, w := range c.windows {
-		w.ring.reset()
-		c.p.ringPool = append(c.p.ringPool, w.ring)
+		w.drains.Reset()
+		c.p.windowPool = append(c.p.windowPool, w.drains)
 	}
 	c.windows = nil
 }
@@ -160,10 +95,9 @@ func (c *MemCtx) recycle() {
 func (c *MemCtx) resetPending() {
 	c.pendingAck, c.hasPending = 0, false
 	for _, w := range c.windows {
-		w.ring.reset()
+		w.drains.Reset()
 	}
-	c.loads = c.loads[:0]
-	c.loadHead = 0
+	c.loads.Reset()
 	c.loadMax = 0
 }
 
@@ -178,15 +112,8 @@ func checkRange(ns *Namespace, off int64, size int) {
 
 // loadSlot obtains an MLP slot, returning the (possibly delayed) issue time.
 func (c *MemCtx) loadSlot(t sim.Time) sim.Time {
-	outstanding := len(c.loads) - c.loadHead
-	if outstanding >= c.p.cfg.MLP {
-		oldest := c.loads[c.loadHead]
-		c.loadHead++
-		if c.loadHead > 1024 && c.loadHead*2 >= len(c.loads) {
-			c.loads = append(c.loads[:0], c.loads[c.loadHead:]...)
-			c.loadHead = 0
-		}
-		if oldest > t {
+	if c.loads.Len() >= c.p.cfg.MLP {
+		if oldest := c.loads.Pop(); oldest > t {
 			t = oldest
 		}
 	}
@@ -212,7 +139,7 @@ func (c *MemCtx) chunkLoad(ns *Namespace, lineOff int64, t sim.Time) (sim.Time, 
 		extra = 2 * c.p.cfg.UPI.HopLatency
 	}
 	done := ch.Read(start, d, local) + c.p.cfg.LoadOverhead + extra
-	c.loads = append(c.loads, done)
+	c.loads.Push(done)
 	if done > c.loadMax {
 		c.loadMax = done
 	}
@@ -294,8 +221,7 @@ func (c *MemCtx) DrainLoads() {
 	if c.loadMax > c.proc.Now() {
 		c.proc.AdvanceTo(c.loadMax)
 	}
-	c.loads = c.loads[:0]
-	c.loadHead = 0
+	c.loads.Reset()
 }
 
 // ---- Stores ----
@@ -346,7 +272,7 @@ func (c *MemCtx) rfo(ns *Namespace, lineOff int64, t sim.Time) sim.Time {
 		_, start = c.p.home[ns.Socket].acquire(t, false, ns.Media == topology.MediaXP)
 	}
 	done := ch.Read(start, d, local) + c.p.cfg.LoadOverhead
-	c.loads = append(c.loads, done)
+	c.loads.Push(done)
 	if done > c.loadMax {
 		c.loadMax = done
 	}
@@ -383,9 +309,14 @@ func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, t sim.Time,
 	ch, d := c.p.channelOf(ns, pos), c.p.dimmOf(ns, pos)
 	xp := ns.Media == topology.MediaXP
 	remote := c.remote(ns)
+	var window *sim.Queue[sim.Time]
 	if tracked {
-		if wait := c.window(d).push(0, c.p.cfg.StoreWindow); wait > t {
-			t = wait
+		// A full window waits for its oldest post to drain.
+		window = c.window(d)
+		if window.Len() >= c.p.cfg.StoreWindow {
+			if oldest := window.Pop(); oldest > t {
+				t = oldest
+			}
 		}
 	}
 	postT := t
@@ -395,8 +326,7 @@ func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, t sim.Time,
 	}
 	acc, drain := ch.PostWrite(postT, d, local)
 	if tracked {
-		w := c.window(d)
-		w.setLast(drain)
+		window.Push(drain)
 		ack := acc + c.ackTime(xp, remote)
 		if ack > c.pendingAck {
 			c.pendingAck = ack

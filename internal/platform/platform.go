@@ -30,17 +30,18 @@ type Platform struct {
 	persist    mem.DataStore
 	namespaces []*Namespace // sorted by Base
 	ctxs       []*MemCtx
-	ringPool   []*drainRing // recycled per-DIMM WPQ windows
+	windowPool []*sim.Queue[sim.Time] // recycled per-DIMM WPQ windows
 }
 
-// getRing hands out a pooled drainRing, or a fresh one when none is free.
-func (p *Platform) getRing() *drainRing {
-	if n := len(p.ringPool); n > 0 {
-		r := p.ringPool[n-1]
-		p.ringPool = p.ringPool[:n-1]
-		return r
+// getWindow hands out a pooled per-DIMM WPQ window, or a fresh one when
+// none is free.
+func (p *Platform) getWindow() *sim.Queue[sim.Time] {
+	if n := len(p.windowPool); n > 0 {
+		q := p.windowPool[n-1]
+		p.windowPool = p.windowPool[:n-1]
+		return q
 	}
-	return &drainRing{}
+	return new(sim.Queue[sim.Time])
 }
 
 // Namespace is a platform-attached pmem namespace.

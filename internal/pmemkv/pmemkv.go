@@ -34,6 +34,7 @@ type CMap struct {
 	tableOff int64
 	buckets  int64
 	locks    []sim.Mutex
+	bufs     [][]byte // entry build buffers finished Puts gave back
 }
 
 const cmapMagic = 0x434D4150 // "CMAP"
@@ -207,7 +208,7 @@ func (m *CMap) Put(ctx *platform.MemCtx, key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, size)
+	buf := m.entryBuf(size)
 	next := int64(0)
 	if ok {
 		next = meta.next // replacement keeps the tail of the chain
@@ -221,6 +222,7 @@ func (m *CMap) Put(ctx *platform.MemCtx, key, val []byte) error {
 	copy(buf[entryHeader:], key)
 	copy(buf[entryHeader+len(key):], val)
 	m.entry.Persist(ctx, m.reg, newOff, len(buf), buf)
+	m.bufs = append(m.bufs, buf)
 	if ok {
 		m.writePtr(ctx, ptrOff, newOff) // atomic swap unlinks the old entry
 		m.pool.Free(ctx, meta.off)
@@ -228,6 +230,20 @@ func (m *CMap) Put(ctx *platform.MemCtx, key, val []byte) error {
 		m.writePtr(ctx, m.bucketOff(h), newOff)
 	}
 	return nil
+}
+
+// entryBuf returns a size-byte buffer to build an entry in, reusing one a
+// finished Put gave back. A Put keeps its buffer across the yields of its
+// persist, so Puts in flight on other threads each hold their own.
+func (m *CMap) entryBuf(size int) []byte {
+	if n := len(m.bufs); n > 0 {
+		b := m.bufs[n-1]
+		m.bufs = m.bufs[:n-1]
+		if cap(b) >= size {
+			return b[:size]
+		}
+	}
+	return make([]byte, size)
 }
 
 // Delete removes key, reporting whether it existed.

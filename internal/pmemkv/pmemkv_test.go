@@ -172,6 +172,29 @@ func TestCMapConcurrentWriters(t *testing.T) {
 	p.Run()
 }
 
+// An insert builds its entry in the buffer an earlier Put gave back. What
+// it still allocates is the LLC's data overlay for its two cached metadata
+// stores (the block header and the bucket link), not an entry buffer.
+func TestCMapInsertReusesEntryBuffer(t *testing.T) {
+	p, _, m := newStore(t, 1024)
+	key, val := []byte("key-0000"), make([]byte, 100)
+	n := 0
+	insert := func(ctx *platform.MemCtx) {
+		n++
+		key[4], key[5], key[6] = byte(n>>16), byte(n>>8), byte(n)
+		if err := m.Put(ctx, key, val); err != nil {
+			t.Error(err)
+		}
+	}
+	p.Go("t", 0, func(ctx *platform.MemCtx) {
+		insert(ctx)
+		if avg := testing.AllocsPerRun(200, func() { insert(ctx) }); avg > 2 {
+			t.Errorf("an insert allocates %.1f objects, want at most 2 (3 with a fresh entry buffer)", avg)
+		}
+	})
+	p.Run()
+}
+
 // Property: the map agrees with a Go map under random operations.
 func TestCMapModelProperty(t *testing.T) {
 	f := func(seed uint64) bool {

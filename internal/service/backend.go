@@ -23,7 +23,8 @@ type Backend interface {
 	// how many it touched. lsmkv serves it natively (a sorted memtable +
 	// SST merge walk); pmemkv has no ordered iterator and emulates it with
 	// n point lookups of the successive key ids, wrapping inside the
-	// preloaded keyspace shard.
+	// preloaded keyspace shard. Scan may overwrite key: the emulated walk
+	// renders each successive key into it.
 	Scan(ctx *platform.MemCtx, key []byte, n int) int
 	// Delete removes key (blind tombstone write for lsmkv, chain unlink
 	// for pmemkv).
@@ -173,10 +174,28 @@ func (bs BackendSpec) namespace(p *platform.Platform, suffix string) (*platform.
 	return p.CreateNamespace(spec)
 }
 
+// load preloads key ids [0, Keys) through put, rendering every key and
+// value into one reused pair of buffers: backends copy what they store.
+func (bs BackendSpec) load(put func(key, val []byte) error) error {
+	key, val := make([]byte, bs.KeySize), make([]byte, bs.ValSize)
+	for id := int64(0); id < bs.Keys; id++ {
+		KeyInto(key, id)
+		ValInto(val, id)
+		if err := put(key, val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // emulateScan is the shared emulated range read: n point lookups of the
 // successive key ids, wrapping inside the shard that owns the start key.
-func emulateScan(ctx *platform.MemCtx, get func(ctx *platform.MemCtx, key, dst []byte) (int, bool), start []byte, n int, span int64, keySize int) int {
-	id := KeyID(start)
+// Each key is rendered into key, overwriting it, and each value lands in
+// discard, so a scan stays off the Go heap. discard may be shared by the
+// workers of one backend since nothing reads it back; key may not, since a
+// lookup yields mid-compare.
+func emulateScan(ctx *platform.MemCtx, get func(ctx *platform.MemCtx, key, dst []byte) (int, bool), key []byte, n int, span int64, discard []byte) int {
+	id := KeyID(key)
 	base := id
 	if span > 0 {
 		base = id / span * span
@@ -186,17 +205,18 @@ func emulateScan(ctx *platform.MemCtx, get func(ctx *platform.MemCtx, key, dst [
 		if span > 0 {
 			next = base + (id-base+int64(i))%span
 		}
-		get(ctx, KeyFor(next, keySize), nil)
+		KeyInto(key, next)
+		get(ctx, key, discard)
 	}
 	return n
 }
 
-// cmapBackend adapts pmemkv.CMap, carrying the key geometry its emulated
-// scans need.
+// cmapBackend adapts pmemkv.CMap, carrying what its emulated scans need:
+// the wrap span and a value-sized discard buffer.
 type cmapBackend struct {
 	m       *pmemkv.CMap
 	span    int64
-	keySize int
+	discard []byte
 }
 
 func (b *cmapBackend) GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool) {
@@ -208,7 +228,7 @@ func (b *cmapBackend) Put(ctx *platform.MemCtx, key, val []byte) error {
 }
 
 func (b *cmapBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int {
-	return emulateScan(ctx, b.m.GetInto, key, n, b.span, b.keySize)
+	return emulateScan(ctx, b.m.GetInto, key, n, b.span, b.discard)
 }
 
 func (b *cmapBackend) Delete(ctx *platform.MemCtx, key []byte) error {
@@ -237,18 +257,13 @@ func NewPMemKV(p *platform.Platform, bs BackendSpec) (Backend, error) {
 		if loadErr != nil {
 			return
 		}
-		for id := int64(0); id < bs.Keys; id++ {
-			if err := m.Put(ctx, KeyFor(id, bs.KeySize), ValFor(id, bs.ValSize)); err != nil {
-				loadErr = err
-				return
-			}
-		}
+		loadErr = bs.load(func(key, val []byte) error { return m.Put(ctx, key, val) })
 	})
 	p.Run()
 	if loadErr != nil {
 		return nil, loadErr
 	}
-	return &cmapBackend{m: m, span: bs.ScanSpan, keySize: bs.KeySize}, nil
+	return &cmapBackend{m: m, span: bs.ScanSpan, discard: make([]byte, bs.ValSize)}, nil
 }
 
 // lsmBackend adapts lsmkv.DB: a service PUT is a durable SET, a DELETE is
@@ -257,7 +272,7 @@ func NewPMemKV(p *platform.Platform, bs BackendSpec) (Backend, error) {
 type lsmBackend struct {
 	db      *lsmkv.DB
 	span    int64
-	keySize int
+	discard []byte
 	native  bool
 }
 
@@ -273,7 +288,7 @@ func (b *lsmBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int {
 	if b.native {
 		return b.db.Scan(ctx, key, n, func(_, _ []byte) bool { return true })
 	}
-	return emulateScan(ctx, b.db.GetInto, key, n, b.span, b.keySize)
+	return emulateScan(ctx, b.db.GetInto, key, n, b.span, b.discard)
 }
 
 func (b *lsmBackend) Delete(ctx *platform.MemCtx, key []byte) error {
@@ -317,18 +332,13 @@ func NewLSMKV(p *platform.Platform, bs BackendSpec) (Backend, error) {
 		if loadErr != nil {
 			return
 		}
-		for id := int64(0); id < bs.Keys; id++ {
-			if err := db.Set(ctx, KeyFor(id, bs.KeySize), ValFor(id, bs.ValSize)); err != nil {
-				loadErr = err
-				return
-			}
-		}
+		loadErr = bs.load(func(key, val []byte) error { return db.Set(ctx, key, val) })
 	})
 	p.Run()
 	if loadErr != nil {
 		return nil, loadErr
 	}
-	return &lsmBackend{db: db, span: bs.ScanSpan, keySize: bs.KeySize, native: bs.NativeScan}, nil
+	return &lsmBackend{db: db, span: bs.ScanSpan, discard: make([]byte, bs.ValSize), native: bs.NativeScan}, nil
 }
 
 // memModeBackend is the Memory-Mode configuration of the serving
@@ -342,9 +352,9 @@ func NewLSMKV(p *platform.Platform, bs BackendSpec) (Backend, error) {
 type memModeBackend struct {
 	mm      *memmode.Memory
 	keys    int64
-	keySize int
 	valSize int
 	span    int64
+	discard []byte
 	present []bool
 }
 
@@ -378,7 +388,7 @@ func (b *memModeBackend) Put(ctx *platform.MemCtx, key, val []byte) error {
 }
 
 func (b *memModeBackend) Scan(ctx *platform.MemCtx, key []byte, n int) int {
-	return emulateScan(ctx, b.GetInto, key, n, b.span, b.keySize)
+	return emulateScan(ctx, b.GetInto, key, n, b.span, b.discard)
 }
 
 func (b *memModeBackend) Delete(ctx *platform.MemCtx, key []byte) error {
@@ -411,17 +421,12 @@ func NewMemModeKV(p *platform.Platform, bs BackendSpec) (Backend, error) {
 		return nil, err
 	}
 	b := &memModeBackend{
-		mm: mm, keys: bs.Keys, keySize: bs.KeySize, valSize: bs.ValSize,
-		span: bs.ScanSpan, present: make([]bool, bs.Keys),
+		mm: mm, keys: bs.Keys, valSize: bs.ValSize, span: bs.ScanSpan,
+		discard: make([]byte, bs.ValSize), present: make([]bool, bs.Keys),
 	}
 	var loadErr error
 	p.Go(bs.NamePrefix+"-load", bs.Socket, func(ctx *platform.MemCtx) {
-		for id := int64(0); id < bs.Keys; id++ {
-			if err := b.Put(ctx, KeyFor(id, bs.KeySize), ValFor(id, bs.ValSize)); err != nil {
-				loadErr = err
-				return
-			}
-		}
+		loadErr = bs.load(func(key, val []byte) error { return b.Put(ctx, key, val) })
 	})
 	p.Run()
 	if loadErr != nil {

@@ -6,7 +6,6 @@ import (
 
 	"optanestudy/internal/hottier"
 	"optanestudy/internal/platform"
-	"optanestudy/internal/sim"
 	"optanestudy/internal/stats"
 )
 
@@ -23,6 +22,7 @@ type dispatchHarness struct {
 	sc    *opScratch
 	batch []request
 	n     int64
+	scans bool // one op in ten is a SCAN of cfg.ScanLen records
 }
 
 func newDispatchHarness(tb testing.TB, batchSize int) *dispatchHarness {
@@ -33,7 +33,9 @@ func newDispatchHarness(tb testing.TB, batchSize int) *dispatchHarness {
 // fronted by a DRAM hot tier of cacheBytes (0 = uncached). cacheBytes large
 // enough for the whole 400-record keyspace pins the cached-HIT path;
 // smaller caches keep the tier churning and pin the miss-FILL path
-// (victim scan, detach, NT slot install) instead.
+// (victim scan, detach, NT slot install) instead. An lsmkv preload is
+// flushed into an SST, so the harness's GETs (its PUTs go to the log)
+// read tables rather than the memtable.
 func newDispatchHarnessOpts(tb testing.TB, batchSize int, backend string, cacheBytes int64) *dispatchHarness {
 	tb.Helper()
 	pcfg := platform.DefaultConfig()
@@ -45,6 +47,14 @@ func newDispatchHarnessOpts(tb testing.TB, batchSize int, backend string, cacheB
 	be, err := NewBackend(p, backend, spec)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if lb, ok := be.(*lsmBackend); ok {
+		var flushErr error
+		p.Go("flush", 0, func(ctx *platform.MemCtx) { flushErr = lb.db.Flush(ctx) })
+		p.Run()
+		if flushErr != nil {
+			tb.Fatal(flushErr)
+		}
 	}
 	if cacheBytes > 0 {
 		tier, err := hottier.New(p, be, hottier.Config{
@@ -75,7 +85,7 @@ func newDispatchHarnessOpts(tb testing.TB, batchSize int, backend string, cacheB
 		batch: make([]request, 0, batchSize),
 	}
 	h.st.shards[0] = shardState{
-		occ:     sim.NewBoundedQueue(32 * batchSize),
+		cap:     32 * batchSize,
 		latency: stats.NewHistogram(),
 	}
 	h.sh = &h.st.shards[0]
@@ -83,15 +93,19 @@ func newDispatchHarnessOpts(tb testing.TB, batchSize int, backend string, cacheB
 }
 
 // step is one worker wakeup: admit a full group (a 0.7/0.3 put/get mix over
-// a rolling key window), drain it, and execute it as one group commit.
+// a rolling key window, or 0.6/0.3/0.1 put/get/scan with scans on), drain
+// it, and execute it as one group commit.
 func (h *dispatchHarness) step(ctx *platform.MemCtx) error {
 	proc := ctx.Proc()
 	now := proc.Now()
 	for i := 0; i < h.cfg.BatchSize; i++ {
 		h.n++
 		op := OpPut
-		if h.n%10 < 3 {
+		switch {
+		case h.n%10 < 3:
 			op = OpGet
+		case h.scans && h.n%10 == 9:
+			op = OpScan
 		}
 		h.sh.push(request{
 			tenant: 0, op: op, key: h.n * 31 % 400,
@@ -115,26 +129,30 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	// cached-hit: the tier holds the whole keyspace, so warmed-up GETs stay
 	// in DRAM. miss-fill: the tier holds 1/4 of it, so steady state keeps
 	// evicting and installing slots. lsmkv pins DB.GetInto (memtable probe
-	// + SST binary search into the per-DB scratch).
+	// + SST binary search into the per-DB scratch). pmemkv-scan adds
+	// emulated scans, each 16 point lookups rendered into the worker's key.
 	variants := []struct {
 		name    string
 		backend string
 		cache   int64
+		scans   bool
 	}{
-		{"pmemkv", "pmemkv", 0},
-		{"cached-hit", "pmemkv", 400 * 128},
-		{"miss-fill", "pmemkv", 100 * 128},
-		{"lsmkv-getinto", "lsmkv", 0},
+		{"pmemkv", "pmemkv", 0, false},
+		{"cached-hit", "pmemkv", 400 * 128, false},
+		{"miss-fill", "pmemkv", 100 * 128, false},
+		{"lsmkv-getinto", "lsmkv", 0, false},
+		{"pmemkv-scan", "pmemkv", 0, true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			for _, depth := range []int{1, 8} {
 				t.Run(fmt.Sprintf("batch=%d", depth), func(t *testing.T) {
 					h := newDispatchHarnessOpts(t, depth, v.backend, v.cache)
+					h.scans = v.scans
 					var avg float64
 					var stepErr error
 					h.p.Go("dispatch", 0, func(ctx *platform.MemCtx) {
-						for i := 0; i < 400; i++ { // warmup: past the queue-ring trim cycle
+						for i := 0; i < 400; i++ { // warmup: every ring and pool at its high-water mark
 							if stepErr = h.step(ctx); stepErr != nil {
 								return
 							}
@@ -154,6 +172,9 @@ func TestDispatchZeroAlloc(t *testing.T) {
 					}
 					if h.sh.completed == 0 || h.st.tenants[0].Completed != h.sh.completed {
 						t.Fatalf("harness recorded %d/%d completions", h.sh.completed, h.st.tenants[0].Completed)
+					}
+					if lb, ok := h.shard.Backend.(*lsmBackend); ok && lb.db.Tables() < 1 {
+						t.Fatal("lsmkv variant has no SST to read")
 					}
 					if tier, ok := h.shard.Backend.(*hottier.Tier); ok {
 						c := tier.Counters()
@@ -204,5 +225,37 @@ func BenchmarkDispatchAllocs(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// An emulated scan renders each key into the caller's key buffer and reads
+// each value into the backend's discard buffer, so once warm it allocates
+// nothing on any backend that emulates scans.
+func TestEmulatedScanZeroAlloc(t *testing.T) {
+	for _, name := range []string{"pmemkv", "lsmkv", "memmode"} {
+		t.Run(name, func(t *testing.T) {
+			p := testPlatform(t)
+			be := newReadBackend(t, p, name)
+			key := make([]byte, readKeyLen)
+			var avg float64
+			p.Go("scan", 0, func(ctx *platform.MemCtx) {
+				var start int64
+				scan := func() {
+					start = (start + 37) % readKeys
+					KeyInto(key, start)
+					if n := be.Scan(ctx, key, 16); n != 16 {
+						t.Errorf("scan touched %d records, want 16", n)
+					}
+				}
+				for range 200 {
+					scan()
+				}
+				avg = testing.AllocsPerRun(100, scan)
+			})
+			p.Run()
+			if avg != 0 {
+				t.Fatalf("16-record scan allocates %.2f times, want 0", avg)
+			}
+		})
 	}
 }

@@ -217,7 +217,7 @@ func runFaultDriver(p *platform.Platform, cfg Config, shards []Shard, st *serveS
 						fo.st.PromoteNS = d
 					}
 					st.event("promoted", ev.Shard, now)
-					if sh.occ.Len() == 0 {
+					if sh.queue.Len() == 0 {
 						// Nothing queued up while down: caught up at
 						// promotion.
 						fo.closeWindow(now)

@@ -262,16 +262,16 @@ func (g *keyGen) next() int64 {
 }
 
 // shardState is one shard's queue and accounting. Procs run one at a time
-// and only hand off at explicit time advances, so no locking. The request
-// payloads live in a local ring; admission capacity, the occupancy-time
-// integral and the depth watermark are delegated to a pull-mode
-// sim.BoundedQueue (PushOpen on admit, PopN on worker drain), whose
-// accounting is exactly the arithmetic this struct used to inline.
+// and only hand off at explicit time advances, so no locking.
 type shardState struct {
-	queue     []request
-	head      int
+	queue sim.Queue[request] // admitted requests, oldest first
+	cap   int                // admission capacity: a full queue sheds
+	// occ integrates queue occupancy over time: each drained request
+	// adds its residency (drain − arrival). maxLen is the depth
+	// high-water mark.
+	occ       sim.Time
+	maxLen    int
 	idx       int // shard index, for span attribution
-	occ       *sim.BoundedQueue
 	busy      sim.Time
 	offered   int64
 	dropped   int64
@@ -298,20 +298,14 @@ type serveState struct {
 
 // full reports whether the admission queue is at capacity (the shed
 // condition).
-func (s *shardState) full() bool { return s.occ.Len() >= s.occ.Cap() }
+func (s *shardState) full() bool { return s.queue.Len() >= s.cap }
 
 func (s *shardState) push(r request) {
-	if !s.occ.PushOpen(r.arrival) {
+	if s.full() {
 		panic("service: push on a full shard queue")
 	}
-	s.queue = append(s.queue, r)
-}
-
-func (s *shardState) trim() {
-	if s.head > 1024 && s.head*2 >= len(s.queue) {
-		s.queue = append(s.queue[:0], s.queue[s.head:]...)
-		s.head = 0
-	}
+	s.queue.Push(r)
+	s.maxLen = max(s.maxLen, s.queue.Len())
 }
 
 // popN batch-drains up to n admitted requests at time now, appending
@@ -319,15 +313,27 @@ func (s *shardState) trim() {
 // steady state never reallocates) and closing each one's queue
 // residency.
 func (s *shardState) popN(now sim.Time, n int, dst []request) []request {
-	k := s.occ.PopN(now, n)
-	for i := 0; i < k; i++ {
-		r := s.queue[s.head]
+	for ; n > 0 && s.queue.Len() > 0; n-- {
+		r := s.queue.Pop()
 		r.drained = now
+		s.occ += now - r.arrival
 		dst = append(dst, r)
-		s.head++
 	}
-	s.trim()
 	return dst
+}
+
+// occupancyAt is the occupancy integral as of now: the residency closed
+// by popN plus each queued request's accrual so far. It retires nothing,
+// so a timeline sampler can difference successive reads into mean queue
+// depth per interval.
+func (s *shardState) occupancyAt(now sim.Time) sim.Time {
+	t := s.occ
+	for i := range s.queue.Len() {
+		if a := s.queue.At(i).arrival; a < now {
+			t += now - a
+		}
+	}
+	return t
 }
 
 // Serve runs one open-loop serving experiment on the platform. The
@@ -418,7 +424,7 @@ func Serve(cfg Config) (*Result, error) {
 	for i := range st.shards {
 		st.shards[i].idx = i
 		st.shards[i].latency = stats.NewHistogram()
-		st.shards[i].occ = sim.NewBoundedQueue(caps[i])
+		st.shards[i].cap = caps[i]
 	}
 	// Fault machinery exists only on shards that need it: replicated
 	// shards and stall targets. Everything else keeps a nil fo.
@@ -633,13 +639,11 @@ func Serve(cfg Config) (*Result, error) {
 		res.Shards[i] = ShardStats{
 			Offered: sh.offered, Dropped: sh.dropped, Completed: sh.completed,
 			Latency: sh.latency, WorkerBusy: sh.busy,
-			QueueResidency: sh.occ.OccupancyTime(), MaxQueueLen: sh.occ.MaxLen(),
+			QueueResidency: sh.occ, MaxQueueLen: sh.maxLen,
 		}
 		res.WorkerBusy += sh.busy
-		res.QueueResidency += sh.occ.OccupancyTime()
-		if sh.occ.MaxLen() > res.MaxQueueLen {
-			res.MaxQueueLen = sh.occ.MaxLen()
-		}
+		res.QueueResidency += sh.occ
+		res.MaxQueueLen = max(res.MaxQueueLen, sh.maxLen)
 	}
 	for i := range st.tenants {
 		res.Offered += st.tenants[i].Offered
@@ -691,7 +695,7 @@ func newOpScratch(cfg Config) *opScratch {
 // record books one completed request at time end.
 func (st *serveState) record(sh *shardState, req request, end sim.Time) {
 	if fo := sh.fo; fo != nil && fo.inWindow {
-		if fo.noteCompletion(req, end, sh.occ.Len() == 0) {
+		if fo.noteCompletion(req, end, sh.queue.Len() == 0) {
 			st.event("caught-up", sh.idx, end)
 		}
 	}
@@ -732,7 +736,7 @@ func (st *serveState) sample(rel, now sim.Time) {
 		sh := &st.shards[i]
 		s.Shards[i] = telemetry.ShardSample{
 			Offered: sh.offered, Dropped: sh.dropped, Completed: sh.completed,
-			QDepth: sh.occ.Len(), QOccNS: sh.occ.OccupancyTimeAt(now).Nanoseconds(),
+			QDepth: sh.queue.Len(), QOccNS: sh.occupancyAt(now).Nanoseconds(),
 		}
 	}
 	st.rec.Sample(s)

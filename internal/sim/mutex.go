@@ -5,30 +5,19 @@ package sim
 // modeled as polling with a small backoff, which both serializes critical
 // sections in simulated time and charges a realistic handoff cost.
 type Mutex struct {
-	held    bool
-	backoff Time
+	held bool
 }
+
+// mutexBackoff is a contended Lock's polling interval.
+const mutexBackoff = 30 * Nanosecond
 
 // Lock acquires the mutex on behalf of p, advancing p's clock while it
 // waits.
 func (m *Mutex) Lock(p *Proc) {
-	b := m.backoff
-	if b == 0 {
-		b = 30 * Nanosecond
-	}
 	for m.held {
-		p.Sleep(b)
+		p.Sleep(mutexBackoff)
 	}
 	m.held = true
-}
-
-// TryLock acquires the mutex if free.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
 }
 
 // Unlock releases the mutex.
@@ -38,6 +27,3 @@ func (m *Mutex) Unlock() {
 	}
 	m.held = false
 }
-
-// Locked reports the current state (test hook).
-func (m *Mutex) Locked() bool { return m.held }

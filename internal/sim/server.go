@@ -27,69 +27,22 @@ func (s *Server) Acquire(t, svc Time) (start, end Time) {
 	return start, end
 }
 
-// FreeAt returns the earliest time a new request arriving at t would start
-// service.
-func (s *Server) FreeAt(t Time) Time {
-	if s.free > t {
-		return s.free
-	}
-	return t
-}
-
-// Backlog returns how far the server is booked beyond t.
-func (s *Server) Backlog(t Time) Time {
-	if s.free > t {
-		return s.free - t
-	}
-	return 0
-}
-
 // BusyTime returns the cumulative service time granted.
 func (s *Server) BusyTime() Time { return s.busy }
-
-// Reset clears the server state.
-func (s *Server) Reset() { s.free, s.busy = 0, 0 }
 
 // BoundedQueue models a finite FIFO queue (such as an iMC write-pending
 // queue) whose entries drain in order at times supplied by the caller. An
 // entry can be admitted only when occupancy is below capacity; Admit returns
 // the earliest time a slot frees up.
-//
-// The queue runs in one of two modes, fixed by the first push:
-//
-//   - Drain mode (Push): each entry carries its drain time up front, and
-//     trimming against the clock retires entries. This is the
-//     device-queue shape (WPQ, link buffers).
-//   - Pull mode (PushOpen / PopN): entries are admitted open-ended and
-//     retired explicitly when a consumer drains them, accruing exact
-//     residency (pop − admit) per entry. This is the dispatcher shape —
-//     a worker wakes and drains a batch of admitted requests.
-//
-// Mixing modes on one queue panics: the two retirements account occupancy
-// differently and interleaving them would corrupt the integral.
 type BoundedQueue struct {
 	cap    int
-	drains []Time // drain times of in-flight entries, FIFO, nondecreasing
-	head   int    // index of the oldest in-flight entry
-
-	// Pull-mode state: admit times of still-open entries, FIFO.
-	opens    []Time
-	openHead int
-	maxLen   int
-	mode     uint8 // 0 unset, 1 drain (Push), 2 pull (PushOpen/PopN)
+	drains Queue[Time] // drain times of in-flight entries, nondecreasing
 
 	// Occupancy-time accounting for utilization reporting, the queue
 	// counterpart of Server.BusyTime: cumulative entry-residency
 	// (sum over entries of drain − admit).
 	occ Time
 }
-
-// Queue modes (values of BoundedQueue.mode).
-const (
-	modeUnset = iota
-	modeDrain
-	modePull
-)
 
 // NewBoundedQueue returns a queue with the given entry capacity.
 func NewBoundedQueue(capacity int) *BoundedQueue {
@@ -99,26 +52,13 @@ func NewBoundedQueue(capacity int) *BoundedQueue {
 	return &BoundedQueue{cap: capacity}
 }
 
-// Cap returns the queue capacity in entries.
-func (q *BoundedQueue) Cap() int { return q.cap }
-
 // Len returns the number of in-flight entries (including drained entries not
-// yet garbage collected; call Admit or Occupancy to trim). In pull mode it is
-// the number of admitted entries not yet popped — always exact.
-func (q *BoundedQueue) Len() int {
-	if q.mode == modePull {
-		return len(q.opens) - q.openHead
-	}
-	return len(q.drains) - q.head
-}
+// yet retired; call Admit or Occupancy to trim).
+func (q *BoundedQueue) Len() int { return q.drains.Len() }
 
 func (q *BoundedQueue) trim(t Time) {
-	for q.head < len(q.drains) && q.drains[q.head] <= t {
-		q.head++
-	}
-	if q.head > 1024 && q.head*2 >= len(q.drains) {
-		q.drains = append(q.drains[:0], q.drains[q.head:]...)
-		q.head = 0
+	for q.drains.Len() > 0 && q.drains.At(0) <= t {
+		q.drains.Pop()
 	}
 }
 
@@ -132,15 +72,14 @@ func (q *BoundedQueue) Occupancy(t Time) int {
 // queue. It does not insert the entry; call Push with the entry's drain time
 // after computing it.
 func (q *BoundedQueue) Admit(t Time) Time {
-	q.trim(t)
-	if q.Len() < q.cap {
-		return t
-	}
 	// The entry is admitted when occupancy first drops below capacity:
-	// after the (Len-cap+1)-th oldest in-flight entry drains.
-	at := q.drains[q.head+q.Len()-q.cap]
-	q.trim(at)
-	return at
+	// after the (Len-cap+1)-th oldest in-flight entry drains. Drains are
+	// in order, so that entry is the same before and after trimming.
+	if n := q.Len(); n >= q.cap {
+		t = max(t, q.drains.At(n-q.cap))
+	}
+	q.trim(t)
+	return t
 }
 
 // Push records an entry admitted at time at that will drain at the given
@@ -148,90 +87,20 @@ func (q *BoundedQueue) Admit(t Time) Time {
 // drains are produced by a Server. The entry's residency (drain − at) is
 // accumulated into OccupancyTime.
 func (q *BoundedQueue) Push(at, drain Time) {
-	if q.mode == modePull {
-		panic("sim: Push on a pull-mode BoundedQueue")
-	}
-	q.mode = modeDrain
 	if drain > at {
 		q.occ += drain - at
 	}
-	q.drains = append(q.drains, drain)
+	q.drains.Push(drain)
 }
-
-// PushOpen admits an entry at time at whose drain time is not yet known; a
-// later PopN retires it and closes its residency. Returns false (a full
-// queue) without admitting when occupancy is at capacity — pull-mode
-// admission control is the caller's drop/shed decision, not a stall.
-func (q *BoundedQueue) PushOpen(at Time) bool {
-	if q.mode == modeDrain {
-		panic("sim: PushOpen on a drain-mode BoundedQueue")
-	}
-	q.mode = modePull
-	if q.Len() >= q.cap {
-		return false
-	}
-	q.opens = append(q.opens, at)
-	if n := q.Len(); n > q.maxLen {
-		q.maxLen = n
-	}
-	return true
-}
-
-// PopN retires up to n of the oldest open entries at time now, accruing each
-// entry's exact residency (now − admit) into OccupancyTime, and returns how
-// many it retired. now must be ≥ every retired entry's admit time (FIFO
-// consumers draining at their own clock satisfy this by construction).
-func (q *BoundedQueue) PopN(now Time, n int) int {
-	if q.mode == modeDrain {
-		panic("sim: PopN on a drain-mode BoundedQueue")
-	}
-	k := q.Len()
-	if n < k {
-		k = n
-	}
-	for i := 0; i < k; i++ {
-		q.occ += now - q.opens[q.openHead]
-		q.openHead++
-	}
-	if q.openHead > 1024 && q.openHead*2 >= len(q.opens) {
-		q.opens = append(q.opens[:0], q.opens[q.openHead:]...)
-		q.openHead = 0
-	}
-	return k
-}
-
-// MaxLen returns the deepest occupancy a pull-mode queue reached (0 for
-// drain mode, where depth is capacity-bounded by Admit instead).
-func (q *BoundedQueue) MaxLen() int { return q.maxLen }
 
 // OccupancyTime returns the cumulative entry-residency granted: the
 // integral of Occupancy over time, in entry-time units. Dividing by
-// Cap × elapsed gives the queue's utilization, the counterpart of
+// capacity × elapsed gives the queue's utilization, the counterpart of
 // Server.BusyTime for servers.
 func (q *BoundedQueue) OccupancyTime() Time { return q.occ }
 
-// OccupancyTimeAt returns the occupancy integral as of time now: the
-// residency already closed by PopN plus each still-open pull-mode entry's
-// accrued (now − admit). Read-only — nothing is retired — so a timeline
-// sampler can difference successive calls into mean queue depth per
-// interval without perturbing the queue.
-func (q *BoundedQueue) OccupancyTimeAt(now Time) Time {
-	t := q.occ
-	for i := q.openHead; i < len(q.opens); i++ {
-		if q.opens[i] < now {
-			t += now - q.opens[i]
-		}
-	}
-	return t
-}
-
-// Reset clears the queue (mode included).
+// Reset clears the queue.
 func (q *BoundedQueue) Reset() {
-	q.drains = q.drains[:0]
-	q.head = 0
-	q.opens = q.opens[:0]
-	q.openHead = 0
-	q.maxLen = 0
-	q.mode = modeUnset
+	q.drains.Reset()
 	q.occ = 0
 }

@@ -26,20 +26,6 @@ func TestServerFIFO(t *testing.T) {
 	}
 }
 
-func TestServerBacklog(t *testing.T) {
-	var s Server
-	s.Acquire(0, 100*Nanosecond)
-	if got := s.Backlog(40 * Nanosecond); got != 60*Nanosecond {
-		t.Fatalf("backlog = %v, want 60ns", got)
-	}
-	if got := s.Backlog(200 * Nanosecond); got != 0 {
-		t.Fatalf("backlog after drain = %v, want 0", got)
-	}
-	if got := s.FreeAt(40 * Nanosecond); got != 100*Nanosecond {
-		t.Fatalf("FreeAt = %v, want 100ns", got)
-	}
-}
-
 func TestBoundedQueueAdmitsUpToCap(t *testing.T) {
 	q := NewBoundedQueue(3)
 	for i := 0; i < 3; i++ {
@@ -173,126 +159,6 @@ func TestBoundedQueueEqualTimestamps(t *testing.T) {
 	}
 }
 
-// Pull mode: PushOpen/PopN must account residency exactly — the occupancy
-// integral of a batch drain equals the sum of per-entry single pops.
-func TestBoundedQueuePullMode(t *testing.T) {
-	q := NewBoundedQueue(4)
-	for _, at := range []Time{0, 5 * Nanosecond, 9 * Nanosecond} {
-		if !q.PushOpen(at) {
-			t.Fatalf("admit at %v refused below capacity", at)
-		}
-	}
-	if q.Len() != 3 || q.MaxLen() != 3 {
-		t.Fatalf("len/max = %d/%d, want 3/3", q.Len(), q.MaxLen())
-	}
-	// Batch-drain all three at t=20: residency 20 + 15 + 11 = 46ns.
-	if got := q.PopN(20*Nanosecond, 8); got != 3 {
-		t.Fatalf("PopN drained %d, want 3", got)
-	}
-	if got := q.OccupancyTime(); got != 46*Nanosecond {
-		t.Fatalf("occupancy time = %v, want 46ns", got)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("len after drain = %d", q.Len())
-	}
-	// PopN caps at n and preserves FIFO order across partial drains.
-	q.PushOpen(30 * Nanosecond)
-	q.PushOpen(32 * Nanosecond)
-	q.PushOpen(34 * Nanosecond)
-	if got := q.PopN(40*Nanosecond, 2); got != 2 { // 10 + 8
-		t.Fatalf("partial PopN drained %d, want 2", got)
-	}
-	if got := q.PopN(50*Nanosecond, 2); got != 1 { // 16
-		t.Fatalf("tail PopN drained %d, want 1", got)
-	}
-	if got := q.OccupancyTime(); got != (46+10+8+16)*Nanosecond {
-		t.Fatalf("occupancy time = %v, want 80ns", got)
-	}
-	// Admission control: a full queue refuses without stalling.
-	q.Reset()
-	for i := 0; i < 4; i++ {
-		if !q.PushOpen(Time(i) * Nanosecond) {
-			t.Fatalf("admit %d refused below capacity", i)
-		}
-	}
-	if q.PushOpen(10 * Nanosecond) {
-		t.Fatal("admit above capacity accepted")
-	}
-	if q.Len() != 4 || q.MaxLen() != 4 {
-		t.Fatalf("full queue len/max = %d/%d", q.Len(), q.MaxLen())
-	}
-}
-
-// The batch drain must be byte-for-byte equivalent to single pops: same
-// occupancy integral for the same admit/pop schedule.
-func TestBoundedQueuePopNMatchesSinglePops(t *testing.T) {
-	r := NewRNG(11)
-	batch := NewBoundedQueue(64)
-	single := NewBoundedQueue(64)
-	var now Time
-	for round := 0; round < 200; round++ {
-		now += Time(r.Intn(30)) * Nanosecond
-		n := 1 + r.Intn(8)
-		for i := 0; i < n; i++ {
-			at := now + Time(i)*Nanosecond
-			if batch.PushOpen(at) != single.PushOpen(at) {
-				t.Fatal("admission diverged")
-			}
-		}
-		now += Time(r.Intn(50)) * Nanosecond
-		k := 1 + r.Intn(10)
-		got := batch.PopN(now, k)
-		want := 0
-		for i := 0; i < k; i++ {
-			want += single.PopN(now, 1)
-		}
-		if got != want {
-			t.Fatalf("round %d: PopN(%d) drained %d, singles drained %d", round, k, got, want)
-		}
-		if batch.OccupancyTime() != single.OccupancyTime() {
-			t.Fatalf("round %d: occupancy integrals diverged: %v vs %v",
-				round, batch.OccupancyTime(), single.OccupancyTime())
-		}
-	}
-}
-
-// Mixing drain-mode and pull-mode pushes on one queue corrupts the
-// occupancy integral, so it must panic.
-func TestBoundedQueueModeMixPanics(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: mode mix did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("push-then-pushopen", func() {
-		q := NewBoundedQueue(2)
-		q.Push(0, 10*Nanosecond)
-		q.PushOpen(0)
-	})
-	expectPanic("pushopen-then-push", func() {
-		q := NewBoundedQueue(2)
-		q.PushOpen(0)
-		q.Push(0, 10*Nanosecond)
-	})
-	expectPanic("popn-on-drain", func() {
-		q := NewBoundedQueue(2)
-		q.Push(0, 10*Nanosecond)
-		q.PopN(10*Nanosecond, 1)
-	})
-	// Reset clears the mode: reuse in the other mode is fine.
-	q := NewBoundedQueue(2)
-	q.Push(0, 10*Nanosecond)
-	q.Reset()
-	q.PushOpen(0)
-	if q.Len() != 1 {
-		t.Fatal("pull mode after Reset broken")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -357,36 +223,5 @@ func TestRNGBoolEdges(t *testing.T) {
 	}
 	if hits < n/4-n/50 || hits > n/4+n/50 {
 		t.Errorf("Bool(0.25) hit rate %d/%d", hits, n)
-	}
-}
-
-// OccupancyTimeAt reads the occupancy integral mid-flight without retiring
-// anything: closed residency plus each still-open entry's accrual so far.
-func TestBoundedQueueOccupancyTimeAt(t *testing.T) {
-	q := NewBoundedQueue(4)
-	if got := q.OccupancyTimeAt(100 * Nanosecond); got != 0 {
-		t.Fatalf("fresh OccupancyTimeAt = %v, want 0", got)
-	}
-	q.PushOpen(0)
-	q.PushOpen(10 * Nanosecond)
-	// At t=30: 30ns from the first entry, 20ns from the second.
-	if got := q.OccupancyTimeAt(30 * Nanosecond); got != 50*Nanosecond {
-		t.Fatalf("open OccupancyTimeAt(30) = %v, want 50ns", got)
-	}
-	// Reading must not retire: the closed integral is still zero.
-	if got := q.OccupancyTime(); got != 0 {
-		t.Fatalf("OccupancyTime after read = %v, want 0", got)
-	}
-	if q.PopN(30*Nanosecond, 1) != 1 {
-		t.Fatal("PopN failed")
-	}
-	// Closed 30ns + the remaining entry's (40−10)ns.
-	if got := q.OccupancyTimeAt(40 * Nanosecond); got != 60*Nanosecond {
-		t.Fatalf("OccupancyTimeAt(40) = %v, want 60ns", got)
-	}
-	// An entry admitted at the sample instant has accrued nothing yet.
-	q.PushOpen(40 * Nanosecond)
-	if got := q.OccupancyTimeAt(40 * Nanosecond); got != 60*Nanosecond {
-		t.Fatalf("OccupancyTimeAt at admit instant = %v, want 60ns", got)
 	}
 }
