@@ -124,17 +124,13 @@ func (b *xpBuffer) lruPartial(except int64) *xpEntry {
 	return nil
 }
 
-// trimInflight frees the slots of write-backs completed by t. Completion
-// times are nondecreasing (media is FIFO).
-func (b *xpBuffer) trimInflight(t sim.Time) {
+// full reports whether no slot is available at time t, after freeing the
+// slots of write-backs completed by t. Completion times are nondecreasing
+// (media is FIFO), so the completed ones sit at the head of inflight.
+func (b *xpBuffer) full(t sim.Time) bool {
 	for b.inflight.Len() > 0 && b.inflight.At(0) <= t {
 		b.inflight.Pop()
 	}
-}
-
-// full reports whether no slot is available at time t.
-func (b *xpBuffer) full(t sim.Time) bool {
-	b.trimInflight(t)
 	return b.liveCount+b.inflight.Len() >= b.cap
 }
 

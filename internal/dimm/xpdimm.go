@@ -223,10 +223,7 @@ func (d *XPDIMM) allocate(t sim.Time, line int64) (*xpEntry, sim.Time) {
 			if d.buf.inflight.Len() == 0 {
 				panic("dimm: buffer full with no evictable entries")
 			}
-			if next := d.buf.inflight.At(0); next > t {
-				t = next
-			}
-			d.buf.trimInflight(t)
+			t = max(t, d.buf.inflight.At(0))
 		}
 	}
 	return d.buf.insert(line), t
@@ -240,10 +237,4 @@ func popcount4(m uint8) int {
 		}
 	}
 	return n
-}
-
-// BufferOccupancy reports live and in-flight slots (for tests).
-func (d *XPDIMM) BufferOccupancy(t sim.Time) (live, inflight int) {
-	d.buf.trimInflight(t)
-	return d.buf.liveCount, d.buf.inflight.Len()
 }

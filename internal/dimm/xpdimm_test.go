@@ -203,8 +203,8 @@ func TestXPBufferCapacityInvariant(t *testing.T) {
 			} else {
 				tm = d.ReadLine(tm, addr)
 			}
-			live, inflight := d.BufferOccupancy(tm)
-			if live+inflight > 16 {
+			d.buf.full(tm) // frees the write-backs completed by tm
+			if d.buf.liveCount+d.buf.inflight.Len() > 16 {
 				return false
 			}
 		}

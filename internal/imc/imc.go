@@ -40,11 +40,14 @@ type Channel struct {
 	wpqs []wpqState // one per attached DIMM, in first-use order
 }
 
+// wpqState is one DIMM's WPQ. Entries drain in FIFO order, so drains
+// holds nondecreasing times and its head is always the next slot to free.
 type wpqState struct {
 	d         dimm.DIMM
-	q         *sim.BoundedQueue
+	drains    sim.Queue[sim.Time] // drain times of the entries in flight
 	lastDrain sim.Time
-	stall     sim.Time
+	occ       sim.Time // entry residency: Σ (drain − accept)
+	stall     sim.Time // admission stall: Σ (accept − post)
 }
 
 // NewChannel returns a channel with the given configuration.
@@ -64,7 +67,7 @@ func (c *Channel) wpq(d dimm.DIMM) *wpqState {
 			return &c.wpqs[i]
 		}
 	}
-	c.wpqs = append(c.wpqs, wpqState{d: d, q: sim.NewBoundedQueue(c.cfg.WPQEntries)})
+	c.wpqs = append(c.wpqs, wpqState{d: d})
 	return &c.wpqs[len(c.wpqs)-1]
 }
 
@@ -83,15 +86,25 @@ func (c *Channel) Read(t sim.Time, d dimm.DIMM, addr int64) sim.Time {
 // head-of-line blocks everything behind it — the Section 5.3 effect.
 func (c *Channel) PostWrite(t sim.Time, d dimm.DIMM, addr int64) (accepted, drained sim.Time) {
 	w := c.wpq(d)
-	accepted = w.q.Admit(t)
+	// A full queue accepts when a slot frees: when entry n−WPQEntries
+	// (0 is the oldest) drains. Drains are in order, so that entry is the
+	// same before and after the drained ones are popped.
+	accepted = t
+	if n := w.drains.Len(); n >= c.cfg.WPQEntries {
+		accepted = max(t, w.drains.At(n-c.cfg.WPQEntries))
+	}
+	for w.drains.Len() > 0 && w.drains.At(0) <= accepted {
+		w.drains.Pop()
+	}
 	w.stall += accepted - t
 	_, busEnd := c.bus.Acquire(accepted, c.cfg.BusTime)
-	drained = d.WriteLine(busEnd, addr)
-	if drained < w.lastDrain {
-		drained = w.lastDrain // FIFO drain: no entry passes its predecessor
-	}
+	// FIFO drain: no entry passes its predecessor.
+	drained = max(d.WriteLine(busEnd, addr), w.lastDrain)
 	w.lastDrain = drained
-	w.q.Push(accepted, drained)
+	if drained > accepted {
+		w.occ += drained - accepted
+	}
+	w.drains.Push(drained)
 	return accepted, drained
 }
 
@@ -99,7 +112,7 @@ func (c *Channel) PostWrite(t sim.Time, d dimm.DIMM, addr int64) (accepted, drai
 // (utilization accounting; divide by WPQEntries × elapsed for the mean
 // fill fraction).
 func (c *Channel) WPQOccupancyTime(d dimm.DIMM) sim.Time {
-	return c.wpq(d).q.OccupancyTime()
+	return c.wpq(d).occ
 }
 
 // WPQStallTime reports a DIMM's cumulative admission-stall time: how long
@@ -109,6 +122,3 @@ func (c *Channel) WPQOccupancyTime(d dimm.DIMM) sim.Time {
 func (c *Channel) WPQStallTime(d dimm.DIMM) sim.Time {
 	return c.wpq(d).stall
 }
-
-// BusBusy returns cumulative bus occupancy (utilization accounting).
-func (c *Channel) BusBusy() sim.Time { return c.bus.BusyTime() }

@@ -17,14 +17,34 @@ type Mode int
 
 // Persistence strategies.
 const (
-	// ModeWALPOSIX: volatile memtable + file-style WAL.
+	// ModeWALPOSIX: volatile memtable + a log file on a DAX file system:
+	// write() copies into the file with cached stores and fsync() flushes
+	// the range and commits a metadata journal transaction, all behind
+	// syscall costs.
 	ModeWALPOSIX Mode = iota
-	// ModeWALFLEX: volatile memtable + FLEX userspace WAL.
+	// ModeWALFLEX: volatile memtable + the FLEX userspace log: records
+	// append directly through the record persister (non-temporal stores
+	// and a single fence by default); metadata updates happen only when
+	// the log crosses an allocation unit.
 	ModeWALFLEX
 	// ModePersistentMemtable: skiplist directly in persistent memory, no
 	// WAL (fine-grained persistence).
 	ModePersistentMemtable
 )
+
+// ParseMode reads a mode by its scenario name: wal-posix, wal-flex or
+// pmem-memtable.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "wal-posix":
+		return ModeWALPOSIX, nil
+	case "wal-flex":
+		return ModeWALFLEX, nil
+	case "pmem-memtable":
+		return ModePersistentMemtable, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
 
 func (m Mode) String() string {
 	switch m {
@@ -65,11 +85,11 @@ type DB struct {
 	wal  *WAL
 	ssts []*sst
 
-	// pmReg spans the PM namespace; sstCopier streams SST installs through
-	// the non-temporal policy (bulk sequential writes, the access pattern
-	// 3D XPoint likes).
-	pmReg     pmem.Region
-	sstCopier *pmem.Copier
+	// pmReg spans the PM namespace; sstPersister streams SST installs
+	// through the non-temporal policy (bulk sequential writes, the access
+	// pattern 3D XPoint likes).
+	pmReg        pmem.Region
+	sstPersister *pmem.Persister
 
 	// getScratch stages SST record loads for lookups; grown on demand, it
 	// amortizes to zero allocation on the serving read path. Guarded by mu.
@@ -129,7 +149,7 @@ func Open(ctx *platform.MemCtx, opt Options) (*DB, error) {
 
 func (db *DB) attachPM() {
 	db.pmReg = pmem.Whole(db.opt.PM)
-	db.sstCopier = pmem.NewCopier(pmem.NewPersister(pmem.NTStream), 0)
+	db.sstPersister = pmem.NewPersister(pmem.NTStream)
 }
 
 func newWAL(ctx *platform.MemCtx, opt Options) *WAL {
@@ -137,14 +157,7 @@ func newWAL(ctx *platform.MemCtx, opt Options) *WAL {
 	if opt.WALPolicy != nil {
 		pol = *opt.WALPolicy
 	}
-	return NewWALPolicy(ctx, opt.PM, 0, walRegion, walMode(opt.Mode), pol)
-}
-
-func walMode(m Mode) WALMode {
-	if m == ModeWALPOSIX {
-		return WALPOSIX
-	}
-	return WALFLEX
+	return NewWALPolicy(ctx, opt.PM, 0, walRegion, opt.Mode, pol)
 }
 
 // Set durably inserts a key-value pair (sync per operation, like the
@@ -269,7 +282,7 @@ func (db *DB) flushLocked(ctx *platform.MemCtx) error {
 		return errors.New("lsmkv: SST area exhausted")
 	}
 	if table.size > 0 {
-		db.sstCopier.Persist(ctx, db.pmReg, table.base, buf.Bytes())
+		db.sstPersister.Persist(ctx, db.pmReg, table.base, buf.Len(), buf.Bytes())
 		db.ssts = append(db.ssts, table)
 		db.sstNext += (table.size + 4095) &^ 4095
 	}
@@ -354,7 +367,7 @@ func (db *DB) compactLocked(ctx *platform.MemCtx) error {
 		return errors.New("lsmkv: SST area exhausted during compaction")
 	}
 	if merged.size > 0 {
-		db.sstCopier.Persist(ctx, db.pmReg, merged.base, buf.Bytes())
+		db.sstPersister.Persist(ctx, db.pmReg, merged.base, buf.Len(), buf.Bytes())
 		db.sstNext += (merged.size + 4095) &^ 4095
 		db.ssts = []*sst{merged}
 	} else {

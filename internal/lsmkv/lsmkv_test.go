@@ -153,7 +153,7 @@ func TestWALAppendReplay(t *testing.T) {
 	p, pm, _ := newDBPlatform(t)
 	var w *WAL
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
-		w = NewWAL(ctx, pm, 0, 1<<20, WALFLEX)
+		w = NewWALPolicy(ctx, pm, 0, 1<<20, ModeWALFLEX, pmem.NTStream)
 		for i := 0; i < 20; i++ {
 			if err := w.Append(ctx, []byte(fmt.Sprintf("record-%02d", i))); err != nil {
 				t.Fatal(err)
@@ -181,7 +181,7 @@ func TestWALTruncate(t *testing.T) {
 	p, pm, _ := newDBPlatform(t)
 	var w *WAL
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
-		w = NewWAL(ctx, pm, 0, 1<<20, WALPOSIX)
+		w = NewWALPolicy(ctx, pm, 0, 1<<20, ModeWALPOSIX, pmem.NTStream)
 		w.Append(ctx, []byte("gone"))
 		w.Truncate(ctx)
 		w.Append(ctx, []byte("kept"))

@@ -1,8 +1,6 @@
 package lsmkv
 
 import (
-	"fmt"
-
 	"optanestudy/internal/harness"
 	"optanestudy/internal/platform"
 )
@@ -33,16 +31,9 @@ func init() {
 
 func runSet(spec harness.Spec) (harness.Trial, error) {
 	r := harness.NewParamReader(spec.Params)
-	var mode Mode
-	switch m := r.Str("mode", "wal-flex"); m {
-	case "wal-posix":
-		mode = ModeWALPOSIX
-	case "wal-flex":
-		mode = ModeWALFLEX
-	case "pmem-memtable":
-		mode = ModePersistentMemtable
-	default:
-		return harness.Trial{}, fmt.Errorf("unknown mode %q", m)
+	mode, err := ParseMode(r.Str("mode", "wal-flex"))
+	if err != nil {
+		return harness.Trial{}, err
 	}
 	onDRAM := r.Bool("dram", false)
 	llcLines := r.Int("llc_lines", (512<<10)/64) // scaled-down LLC:memtable ratio

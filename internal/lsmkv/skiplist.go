@@ -292,23 +292,6 @@ func (s *Skiplist) Scan(ctx *platform.MemCtx, fn func(key, val []byte, tomb bool
 	}
 }
 
-// ScanFrom walks entries with key ≥ start in key order (newest version
-// first for duplicates), tombstones included.
-func (s *Skiplist) ScanFrom(ctx *platform.MemCtx, start []byte, fn func(key, val []byte, tomb bool) bool) {
-	preds := s.findPredecessors(ctx, start)
-	cur := preds[0]
-	for {
-		nextOff := s.loadNext(ctx, cur, 0)
-		if nextOff == 0 {
-			return
-		}
-		cur = s.loadNode(ctx, nextOff)
-		if !fn(s.nodeKeyInto(ctx, cur, nil), s.nodeValInto(ctx, cur, nil), cur.tomb) {
-			return
-		}
-	}
-}
-
 // Recover rebuilds the volatile bookkeeping of a persistent skiplist from
 // durable state by walking level 0 (used after a crash).
 func RecoverSkiplist(ctx *platform.MemCtx, ns *platform.Namespace, base, size int64, seed uint64) *Skiplist {

@@ -10,29 +10,6 @@ import (
 	"optanestudy/internal/sim"
 )
 
-// WALMode selects how the write-ahead log reaches persistence.
-type WALMode int
-
-// Log modes from the Section 4.2 study.
-const (
-	// WALPOSIX models a log file on a DAX file system: write() copies
-	// into the file with cached stores and fsync() flushes the range and
-	// commits a metadata journal transaction, all behind syscall costs.
-	WALPOSIX WALMode = iota
-	// WALFLEX models the FLEX userspace technique: records append
-	// directly through the record persister (non-temporal stores and a
-	// single fence by default); metadata updates happen only when the log
-	// crosses an allocation unit.
-	WALFLEX
-)
-
-func (m WALMode) String() string {
-	if m == WALPOSIX {
-		return "WAL-POSIX"
-	}
-	return "WAL-FLEX"
-}
-
 // Costs of the logging paths (CPU-side, per call).
 const (
 	posixWriteCost = 400 * sim.Nanosecond // syscall + VFS + page lookup
@@ -50,7 +27,7 @@ const walHeaderSize = 64
 // persists through the meta persister (store+clwb).
 type WAL struct {
 	reg  pmem.Region
-	mode WALMode
+	mode Mode  // ModeWALPOSIX, or a FLEX append for any other mode
 	head int64 // volatile copy of the durable head
 	rec  *pmem.Persister
 	meta *pmem.Persister
@@ -59,17 +36,11 @@ type WAL struct {
 	jnl *pmem.Persister
 }
 
-// NewWAL initializes an empty log at [base, base+size) with the default
-// record-persist policy.
-func NewWAL(ctx *platform.MemCtx, ns *platform.Namespace, base, size int64, mode WALMode) *WAL {
-	return NewWALPolicy(ctx, ns, base, size, mode, pmem.NTStream)
-}
-
-// NewWALPolicy initializes an empty log whose FLEX record stream persists
-// under the given pmem policy (the WAL-recovery suites re-run under every
-// policy; WAL-POSIX ignores it — its write path is cached stores by
-// construction).
-func NewWALPolicy(ctx *platform.MemCtx, ns *platform.Namespace, base, size int64, mode WALMode, pol pmem.Policy) *WAL {
+// NewWALPolicy initializes an empty log at [base, base+size) whose FLEX
+// record stream persists under the given pmem policy (the WAL-recovery
+// suites re-run under every policy). WAL-POSIX ignores it: its write path
+// is cached stores by construction.
+func NewWALPolicy(ctx *platform.MemCtx, ns *platform.Namespace, base, size int64, mode Mode, pol pmem.Policy) *WAL {
 	reg, err := pmem.NewRegion(ns, base, size)
 	if err != nil {
 		panic(err)
@@ -104,7 +75,7 @@ func (w *WAL) Append(ctx *platform.MemCtx, payload []byte) error {
 
 	ctx.Proc().Sleep(recordCPUCost)
 	switch w.mode {
-	case WALPOSIX:
+	case ModeWALPOSIX:
 		ctx.Proc().Sleep(posixWriteCost)
 		w.reg.Store(ctx, off, len(rec), rec)
 		// fsync: flush the data range, then commit the file-system
@@ -113,7 +84,7 @@ func (w *WAL) Append(ctx *platform.MemCtx, payload []byte) error {
 		w.meta.Flush(ctx, w.reg, off, len(rec))
 		w.meta.Fence(ctx)
 		w.journalCommit(ctx)
-	case WALFLEX:
+	default:
 		w.rec.Persist(ctx, w.reg, off, len(rec), rec)
 		if (w.head+recSize)/flexAllocUnit != w.head/flexAllocUnit {
 			// Crossed an allocation unit: persist the file size.

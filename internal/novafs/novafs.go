@@ -51,7 +51,6 @@ type Options struct {
 	EmbedLimit int
 	// SyscallCost is the kernel entry/VFS overhead per operation.
 	SyscallCost sim.Time
-	Seed        uint64
 }
 
 // DefaultOptions returns the calibrated defaults.
@@ -89,7 +88,6 @@ type FS struct {
 	files map[string]*File
 	nt    *pmem.Persister
 	meta  *pmem.Persister
-	seq   uint64
 }
 
 // Mount formats a novafs over one or more namespaces. Passing several
@@ -138,7 +136,6 @@ func (z *zone) allocPage() (int64, error) {
 type File struct {
 	fs   *FS
 	zone *zone
-	name string
 
 	logHead int64 // offset of the first log page
 	logPage int64 // current log page
@@ -176,7 +173,7 @@ func (fs *FS) CreateZone(ctx *platform.MemCtx, name string, zoneIdx int) (*File,
 		return nil, err
 	}
 	f := &File{
-		fs: fs, zone: z, name: name,
+		fs: fs, zone: z,
 		logHead: logPage, logPage: logPage, logOff: 8,
 		extents: make(map[int64]int64),
 		patches: make(map[int64][]patch),
@@ -386,7 +383,7 @@ func (fs *FS) Recover(name string, zoneIdx int, logHead int64) (*File, error) {
 	}
 	z := fs.zones[zoneIdx]
 	f := &File{
-		fs: fs, zone: z, name: name,
+		fs: fs, zone: z,
 		logHead: logHead, logPage: logHead, logOff: 8,
 		extents: make(map[int64]int64),
 		patches: make(map[int64][]patch),

@@ -23,7 +23,6 @@ type MemCtx struct {
 	proc   *sim.Proc
 	socket int
 	wc     *cache.WCBuffer
-	rng    *sim.RNG
 
 	windows []dimmWindow // per-DIMM WPQ windows, in first-use order
 

@@ -92,9 +92,6 @@ func MustNew(cfg Config) *Platform {
 // Config returns the platform's configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// Engine returns the platform's simulation engine.
-func (p *Platform) Engine() *sim.Engine { return p.eng }
-
 // Now returns the current simulated time.
 func (p *Platform) Now() sim.Time { return p.eng.Now() }
 
@@ -197,7 +194,6 @@ func (p *Platform) Context(proc *sim.Proc, socket int) *MemCtx {
 		proc:   proc,
 		socket: socket,
 		wc:     cache.NewWCBuffer(),
-		rng:    sim.NewRNG(p.cfg.Seed ^ uint64(proc.ID()*7919+13)),
 	}
 	p.ctxs = append(p.ctxs, ctx)
 	return ctx

@@ -11,7 +11,7 @@
 // against raw MemCtx — and PR 3 fixed a latent cross-namespace
 // write-combining bug born of exactly that duplication.
 //
-// The layer has four pieces:
+// The layer has three pieces:
 //
 //   - Region: a bounds-checked window onto a Namespace. All primitive
 //     operations are region-relative, so a software stack cannot scribble
@@ -22,7 +22,6 @@
 //     counts ops/bytes per effective policy for harness metadata.
 //   - Appender: a sequential durable log stream with circular wrap and a
 //     reusable scratch buffer (the write-behind-logging shape).
-//   - Copier: bulk persist with cache-line-aligned chunking.
 //
 // Policies are deliberately swappable: the pmem/policy/* scenario family
 // sweeps policy × access size × media, and the crash-consistency suites of

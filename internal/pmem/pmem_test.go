@@ -230,38 +230,3 @@ func TestAppenderWrapAndScratch(t *testing.T) {
 		}
 	}
 }
-
-// Chunked and unchunked copies must persist identical contents in
-// identical simulated time under NTStream (chunk boundaries are
-// line-aligned, so the posted line sequence is the same).
-func TestCopierChunkEquivalence(t *testing.T) {
-	run := func(chunk int, off int64) (sim.Time, []byte) {
-		p, ns := testPlatform(t)
-		reg := Whole(ns)
-		c := NewCopier(NewPersister(NTStream), chunk)
-		data := pattern(77, 10000)
-		var elapsed sim.Time
-		p.Go("t", 0, func(ctx *platform.MemCtx) {
-			start := ctx.Proc().Now()
-			c.Persist(ctx, reg, off, data)
-			elapsed = ctx.Proc().Now() - start
-		})
-		p.Run()
-		p.Crash()
-		got := make([]byte, len(data))
-		reg.ReadDurable(off, got)
-		return elapsed, got
-	}
-	for _, off := range []int64{0, 24} { // aligned and unaligned starts
-		t0, d0 := run(0, off)
-		for _, chunk := range []int{256, 1000, 4096} {
-			tc, dc := run(chunk, off)
-			if !bytes.Equal(d0, dc) {
-				t.Fatalf("chunk %d @%d: contents differ", chunk, off)
-			}
-			if t0 != tc {
-				t.Fatalf("chunk %d @%d: %v != unchunked %v", chunk, off, tc, t0)
-			}
-		}
-	}
-}

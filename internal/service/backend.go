@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -304,16 +305,9 @@ func NewLSMKV(p *platform.Platform, bs BackendSpec) (Backend, error) {
 		return nil, fmt.Errorf("service: dram namespace (%d bytes) smaller than the %d-byte memtable",
 			bs.DRAMBytes, int64(lsmkvMemtableBytes))
 	}
-	var mode lsmkv.Mode
-	switch bs.Mode {
-	case "wal-posix":
-		mode = lsmkv.ModeWALPOSIX
-	case "wal-flex", "":
-		mode = lsmkv.ModeWALFLEX
-	case "pmem-memtable":
-		mode = lsmkv.ModePersistentMemtable
-	default:
-		return nil, fmt.Errorf("service: unknown lsmkv mode %q", bs.Mode)
+	mode, err := lsmkv.ParseMode(cmp.Or(bs.Mode, "wal-flex"))
+	if err != nil {
+		return nil, fmt.Errorf("service: lsmkv: %w", err)
 	}
 	pm, err := bs.namespace(p, "-pm")
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 type Proc struct {
 	eng  *Engine
 	name string
-	id   int
 	now  Time
 	seq  uint64
 
@@ -27,10 +26,6 @@ func (p *Proc) Now() Time { return p.now }
 
 // Name returns the proc's debug name.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns the proc's unique id within its engine (0, 1, 2, ... in spawn
-// order). Kernels use it to derive per-thread seeds and address partitions.
-func (p *Proc) ID() int { return p.id }
 
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -73,7 +68,6 @@ func (p *Proc) yield() {
 type Engine struct {
 	procs   procHeap
 	seq     uint64
-	nextID  int
 	now     Time
 	stopped bool
 }
@@ -105,11 +99,9 @@ func (e *Engine) Go(name string, start Time, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:  e,
 		name: name,
-		id:   e.nextID,
 		now:  start,
 		seq:  e.nextSeq(),
 	}
-	e.nextID++
 	p.next, p.stop = iter.Pull(func(park func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {

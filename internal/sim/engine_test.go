@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestEngineSingleProc(t *testing.T) {
 	e := NewEngine()
@@ -109,7 +106,7 @@ func TestEngineDeterminism(t *testing.T) {
 		srv := &Server{}
 		for i := 0; i < 4; i++ {
 			e.Go("w", 0, func(p *Proc) {
-				r := NewRNG(uint64(p.ID()))
+				r := NewRNG(uint64(i))
 				for j := 0; j < 20; j++ {
 					_, end := srv.Acquire(p.Now(), Time(r.Intn(100))*Nanosecond)
 					p.AdvanceTo(end)
@@ -138,12 +135,6 @@ func TestTimeConversions(t *testing.T) {
 	if Micros(1.5) != 1500*Nanosecond {
 		t.Errorf("Micros(1.5) = %v", Micros(1.5))
 	}
-	if got := GBs(1).ServiceTime(1000); got != Microsecond {
-		t.Errorf("1GB/s for 1000B = %v, want 1us", got)
-	}
-	if got := GBs(2.5).ServiceTime(256); got != Nanos(102.4) {
-		t.Errorf("2.5GB/s for 256B = %v, want 102.4ns", got)
-	}
 }
 
 func TestTimeString(t *testing.T) {
@@ -160,19 +151,5 @@ func TestTimeString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", int64(c.t), got, c.want)
 		}
-	}
-}
-
-func TestServiceTimeMonotonic(t *testing.T) {
-	f := func(a, b uint16) bool {
-		r := GBs(6.6)
-		x, y := int(a), int(b)
-		if x > y {
-			x, y = y, x
-		}
-		return r.ServiceTime(x) <= r.ServiceTime(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -52,28 +52,3 @@ func (r *RNG) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Fork derives an independent generator; useful for giving each simulated
-// thread its own stream from a single experiment seed.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -130,7 +130,7 @@ func TestStopUnwindsParkedProcs(t *testing.T) {
 			for {
 				p.Advance(Time(k) * Nanosecond)
 				if stopping {
-					t.Errorf("proc %d ran past its parking advance at %v", p.ID(), p.Now())
+					t.Errorf("proc %d ran past its parking advance at %v", k, p.Now())
 				}
 			}
 		})

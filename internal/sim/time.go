@@ -55,17 +55,3 @@ func (t Time) String() string {
 		return fmt.Sprintf("%dps", int64(t))
 	}
 }
-
-// BytesPerSecond expresses a transfer rate used to derive service times.
-type BytesPerSecond float64
-
-// GBs constructs a rate from gigabytes per second (decimal GB).
-func GBs(g float64) BytesPerSecond { return BytesPerSecond(g * 1e9) }
-
-// ServiceTime returns the time to transfer n bytes at rate r.
-func (r BytesPerSecond) ServiceTime(n int) Time {
-	if r <= 0 {
-		return 0
-	}
-	return Time(math.Round(float64(n) / float64(r) * float64(Second)))
-}

@@ -1,7 +1,7 @@
 // Package workload generates the access patterns and record streams used by
-// the study's experiments: sequential, random, strided and hotspot address
-// patterns, Zipfian key popularity, read/write mixes, and key-value records
-// for the db_bench-style workloads.
+// the study's experiments: sequential and random address patterns, Zipfian
+// and shifting-hotspot key popularity, read/write mixes, and key-value
+// records for the db_bench-style workloads.
 package workload
 
 import (
@@ -16,8 +16,6 @@ import (
 type Pattern interface {
 	// Next returns the offset of the next access.
 	Next() int64
-	// Reset restarts the pattern from its initial state.
-	Reset()
 }
 
 // Sequential walks a region front to back in accessSize steps, wrapping.
@@ -46,13 +44,9 @@ func (s *Sequential) Next() int64 {
 	return off
 }
 
-// Reset implements Pattern.
-func (s *Sequential) Reset() { s.pos = 0 }
-
 // Random produces uniformly random aligned offsets within a region.
 type Random struct {
 	rng    *sim.RNG
-	seed   uint64
 	blocks int64
 	step   int64
 }
@@ -65,7 +59,6 @@ func NewRandom(region int64, accessSize int, seed uint64) *Random {
 	}
 	return &Random{
 		rng:    sim.NewRNG(seed),
-		seed:   seed,
 		blocks: region / int64(accessSize),
 		step:   int64(accessSize),
 	}
@@ -73,57 +66,6 @@ func NewRandom(region int64, accessSize int, seed uint64) *Random {
 
 // Next implements Pattern.
 func (r *Random) Next() int64 { return r.rng.Int63n(r.blocks) * r.step }
-
-// Reset implements Pattern.
-func (r *Random) Reset() { r.rng = sim.NewRNG(r.seed) }
-
-// Stride walks a region with a fixed stride between accesses.
-type Stride struct {
-	region int64
-	stride int64
-	pos    int64
-}
-
-// NewStride returns a strided pattern: access i touches offset
-// (i*stride) mod region.
-func NewStride(region, stride int64) *Stride {
-	if stride <= 0 || region < stride {
-		panic(fmt.Sprintf("workload: bad stride region=%d stride=%d", region, stride))
-	}
-	return &Stride{region: region - region%stride, stride: stride}
-}
-
-// Next implements Pattern.
-func (s *Stride) Next() int64 {
-	off := s.pos
-	s.pos += s.stride
-	if s.pos >= s.region {
-		s.pos = 0
-	}
-	return off
-}
-
-// Reset implements Pattern.
-func (s *Stride) Reset() { s.pos = 0 }
-
-// Hotspot confines sequential accesses to a small window ("hot spot") of a
-// larger region — the Figure 3 tail-latency workload.
-type Hotspot struct {
-	inner *Sequential
-	base  int64
-}
-
-// NewHotspot returns a pattern that repeatedly sweeps a hotspotSize window
-// starting at base, in accessSize steps.
-func NewHotspot(base, hotspotSize int64, accessSize int) *Hotspot {
-	return &Hotspot{inner: NewSequential(hotspotSize, accessSize), base: base}
-}
-
-// Next implements Pattern.
-func (h *Hotspot) Next() int64 { return h.base + h.inner.Next() }
-
-// Reset implements Pattern.
-func (h *Hotspot) Reset() { h.inner.Reset() }
 
 // Mix selects between read and write operations at a configured ratio using
 // a deterministic interleaving (e.g. 3:1 issues RRRW RRRW ...), matching how
@@ -151,21 +93,4 @@ func (m *Mix) NextIsRead() bool {
 		m.pos = 0
 	}
 	return isRead
-}
-
-// ReadFraction returns the fraction of operations that are reads.
-func (m *Mix) ReadFraction() float64 {
-	return float64(m.reads) / float64(m.reads+m.writes)
-}
-
-// String renders "R", "W" or "R:W (n:m)" like the paper's axis labels.
-func (m *Mix) String() string {
-	switch {
-	case m.writes == 0:
-		return "R"
-	case m.reads == 0:
-		return "W"
-	default:
-		return fmt.Sprintf("R:W (%d:%d)", m.reads, m.writes)
-	}
 }

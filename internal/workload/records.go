@@ -19,9 +19,6 @@ type RecordGen struct {
 	keySize   int
 	valueSize int
 	keySpace  int64
-	zipf      *Zipf // nil means uniform
-	seq       int64
-	useSeq    bool
 }
 
 // NewRecordGen returns a generator of uniformly random keys in a key space.
@@ -34,40 +31,6 @@ func NewRecordGen(keySize, valueSize int, keySpace int64, seed uint64) *RecordGe
 		keySize:   keySize,
 		valueSize: valueSize,
 		keySpace:  keySpace,
-	}
-}
-
-// NewZipfRecordGen returns a generator with Zipfian key popularity.
-func NewZipfRecordGen(keySize, valueSize int, keySpace int64, theta float64, seed uint64) *RecordGen {
-	g := NewRecordGen(keySize, valueSize, keySpace, seed)
-	g.zipf = NewZipf(keySpace, theta, seed+1)
-	return g
-}
-
-// NewSeqRecordGen returns a generator producing keys 0, 1, 2, ... — the
-// fillseq-style load phase.
-func NewSeqRecordGen(keySize, valueSize int, seed uint64) *RecordGen {
-	g := NewRecordGen(keySize, valueSize, 1<<62, seed)
-	g.useSeq = true
-	return g
-}
-
-// KeySize returns the generated key length in bytes.
-func (g *RecordGen) KeySize() int { return g.keySize }
-
-// ValueSize returns the generated value length in bytes.
-func (g *RecordGen) ValueSize() int { return g.valueSize }
-
-func (g *RecordGen) nextID() int64 {
-	switch {
-	case g.useSeq:
-		id := g.seq
-		g.seq++
-		return id
-	case g.zipf != nil:
-		return g.zipf.Next()
-	default:
-		return g.rng.Int63n(g.keySpace)
 	}
 }
 
@@ -84,7 +47,7 @@ func (g *RecordGen) KeyFor(id int64) []byte {
 
 // Next produces the next record.
 func (g *RecordGen) Next() Record {
-	id := g.nextID()
+	id := g.rng.Int63n(g.keySpace)
 	val := make([]byte, g.valueSize)
 	fill := g.rng.Uint64()
 	for i := range val {

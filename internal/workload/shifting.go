@@ -11,8 +11,7 @@ import (
 // consecutive ids, and the window relocates to a fresh seeded-uniform base
 // every period draws. The cold remainder is uniform over the whole range.
 //
-// This is the serving-side complement of the static Hotspot address
-// pattern: under a sharded router, a window narrower than the routing block
+// Under a sharded router, a window narrower than the routing block
 // concentrates load on one shard at a time and the hot shard migrates as
 // the window moves — the skew-vs-placement experiment the cluster sweeps
 // exercise. Like every generator in this package, the stream is a pure
