@@ -200,29 +200,6 @@ func BenchmarkScenarioServePoint(b *testing.B) {
 	}, map[string]string{"p99-ns": "p99_ns", "achieved-kops": "achieved_kops"})
 }
 
-// ---- Sweep benchmarks: every registered scenario through the batch
-// driver, serial vs parallel — the same pair CI's full-sweep step cmps
-// for byte-identity; host time is tracked by the perfbench workloads
-// that BENCHMARK.json declares ----
-
-func benchSweep(b *testing.B, parallel int) {
-	specs := make([]harness.Spec, 0, len(harness.Names()))
-	for _, name := range harness.Names() {
-		specs = append(specs, harness.Spec{Scenario: name})
-	}
-	for i := 0; i < b.N; i++ {
-		for _, sr := range harness.RunSpecs(specs, parallel) {
-			if sr.Err != nil {
-				b.Fatal(sr.Err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(specs)), "scenarios")
-}
-
-func BenchmarkFullSweepSerial(b *testing.B)   { benchSweep(b, 1) }
-func BenchmarkFullSweepParallel(b *testing.B) { benchSweep(b, 0) }
-
 // ---- Ablations: isolate the mechanisms DESIGN.md calls out ----
 
 func niWriteBandwidth(b *testing.B, mutate func(*platform.Config), threads, accessSize int) float64 {

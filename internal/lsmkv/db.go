@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"optanestudy/internal/platform"
@@ -91,35 +92,40 @@ type DB struct {
 	pmReg        pmem.Region
 	sstPersister *pmem.Persister
 
-	// getScratch stages SST record loads for lookups; grown on demand, it
-	// amortizes to zero allocation on the serving read path. Guarded by mu.
-	getScratch []byte
+	// What lookups and merges read through, guarded by mu and grown on
+	// demand so that the serving read and scan paths amortize to zero
+	// allocation: scratch stages SST record loads, memCur and tableCurs
+	// are the merge's cursors (cursors lists them in precedence order),
+	// and winKey and winVal are the merge's copy of the winning record.
+	scratch        []byte
+	memCur         memCursor
+	tableCurs      []sstCursor
+	cursors        []cursor
+	winKey, winVal []byte
 
 	memNS       *platform.Namespace
 	memBase     int64
-	sstBase     int64
 	sstNext     int64
 	flushes     int
 	compactions int
-	sets        int64
-	dels        int64
-	replayed    int
 }
 
-// sst is one immutable sorted table with a volatile sparse index.
+// sst is one immutable sorted table with a volatile index.
 type sst struct {
 	base  int64
-	size  int64
 	index []sstIndexEntry // every entry indexed (tables are small)
 }
 
 type sstIndexEntry struct {
-	key []byte
-	off int64
+	key  []byte
+	off  int64
+	tomb bool
 }
 
-// Open creates a fresh DB (use Recover to reattach after a crash).
-func Open(ctx *platform.MemCtx, opt Options) (*DB, error) {
+// newDB checks opt and lays the DB out: PM holds [WAL | memtable (if
+// persistent) | SST area], and a volatile memtable sits at the base of
+// DRAM. Open and RecoverPersistent both start here.
+func newDB(opt Options) (*DB, error) {
 	if opt.PM == nil {
 		return nil, errors.New("lsmkv: PM namespace required")
 	}
@@ -129,35 +135,35 @@ func Open(ctx *platform.MemCtx, opt Options) (*DB, error) {
 	if opt.MemtableBytes == 0 {
 		opt.MemtableBytes = 1 << 20
 	}
-	db := &DB{opt: opt}
-	db.attachPM()
-	switch opt.Mode {
-	case ModePersistentMemtable:
-		db.memNS = opt.PM
-		db.memBase = walRegion
-		db.mem = NewSkiplist(ctx, opt.PM, db.memBase, opt.MemtableBytes, true, opt.Seed)
-	default:
-		db.wal = newWAL(ctx, opt)
-		db.memNS = opt.DRAM
-		db.memBase = 0
-		db.mem = NewSkiplist(ctx, opt.DRAM, 0, opt.MemtableBytes, false, opt.Seed)
+	db := &DB{
+		opt:          opt,
+		pmReg:        pmem.Whole(opt.PM),
+		sstPersister: pmem.NewPersister(pmem.NTStream),
+		memNS:        opt.DRAM,
+		sstNext:      walRegion + opt.MemtableBytes,
 	}
-	db.sstBase = walRegion + opt.MemtableBytes
-	db.sstNext = db.sstBase
+	if opt.Mode == ModePersistentMemtable {
+		db.memNS, db.memBase = opt.PM, walRegion
+	}
 	return db, nil
 }
 
-func (db *DB) attachPM() {
-	db.pmReg = pmem.Whole(db.opt.PM)
-	db.sstPersister = pmem.NewPersister(pmem.NTStream)
-}
-
-func newWAL(ctx *platform.MemCtx, opt Options) *WAL {
-	pol := pmem.NTStream
-	if opt.WALPolicy != nil {
-		pol = *opt.WALPolicy
+// Open creates a fresh DB (RecoverWAL and RecoverPersistent reattach one
+// after a crash).
+func Open(ctx *platform.MemCtx, opt Options) (*DB, error) {
+	db, err := newDB(opt)
+	if err != nil {
+		return nil, err
 	}
-	return NewWALPolicy(ctx, opt.PM, 0, walRegion, opt.Mode, pol)
+	if opt.Mode != ModePersistentMemtable {
+		pol := pmem.NTStream
+		if opt.WALPolicy != nil {
+			pol = *opt.WALPolicy
+		}
+		db.wal = NewWALPolicy(ctx, opt.PM, 0, walRegion, opt.Mode, pol)
+	}
+	db.mem = NewSkiplist(ctx, db.memNS, db.memBase, db.opt.MemtableBytes, db.wal == nil, opt.Seed)
+	return db, nil
 }
 
 // Set durably inserts a key-value pair (sync per operation, like the
@@ -169,11 +175,7 @@ func (db *DB) Set(ctx *platform.MemCtx, key, val []byte) error {
 	}
 	db.mu.Lock(ctx.Proc())
 	defer db.mu.Unlock()
-	if err := db.applyLocked(ctx, key, val, false); err != nil {
-		return err
-	}
-	db.sets++
-	return nil
+	return db.applyLocked(ctx, key, val, false)
 }
 
 // Delete durably removes key by writing a tombstone (RocksDB-style blind
@@ -181,48 +183,40 @@ func (db *DB) Set(ctx *platform.MemCtx, key, val []byte) error {
 func (db *DB) Delete(ctx *platform.MemCtx, key []byte) error {
 	db.mu.Lock(ctx.Proc())
 	defer db.mu.Unlock()
-	if err := db.applyLocked(ctx, key, nil, true); err != nil {
-		return err
-	}
-	db.dels++
-	return nil
+	return db.applyLocked(ctx, key, nil, true)
 }
 
 // applyLocked journals and applies one mutation, flushing the memtable and
-// retrying once on exhaustion.
+// retrying once when the log or the memtable runs out of room.
 func (db *DB) applyLocked(ctx *platform.MemCtx, key, val []byte, tomb bool) error {
 	if db.wal != nil {
-		rec := encodeAny(key, val, tomb)
-		if err := db.wal.Append(ctx, rec); err != nil {
-			if err == ErrWALFull {
-				if ferr := db.flushLocked(ctx); ferr != nil {
-					return ferr
-				}
+		rec := appendRecord(nil, key, val, tomb)
+		err := db.wal.Append(ctx, rec)
+		if err == ErrWALFull {
+			if err = db.flushLocked(ctx); err == nil {
 				err = db.wal.Append(ctx, rec)
 			}
-			if err != nil {
-				return err
-			}
 		}
-	}
-	insert := func() error {
-		if tomb {
-			return db.mem.Delete(ctx, key)
-		}
-		return db.mem.Insert(ctx, key, val)
-	}
-	if err := insert(); err != nil {
-		if err != ErrFull {
-			return err
-		}
-		if err := db.flushLocked(ctx); err != nil {
-			return err
-		}
-		if err := insert(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	return nil
+	err := db.memInsert(ctx, key, val, tomb)
+	if err == ErrFull {
+		if err = db.flushLocked(ctx); err == nil {
+			err = db.memInsert(ctx, key, val, tomb)
+		}
+	}
+	return err
+}
+
+// memInsert applies one mutation to the memtable: the step a write and a
+// WAL replay share.
+func (db *DB) memInsert(ctx *platform.MemCtx, key, val []byte, tomb bool) error {
+	if tomb {
+		return db.mem.Delete(ctx, key)
+	}
+	return db.mem.Insert(ctx, key, val)
 }
 
 // Get returns the newest value for key in a fresh slice.
@@ -247,44 +241,24 @@ func (db *DB) get(ctx *platform.MemCtx, key, dst []byte) ([]byte, bool) {
 		return v, ok
 	}
 	for i := len(db.ssts) - 1; i >= 0; i-- {
-		if v, ok, tomb := db.ssts[i].find(ctx, db.pmReg, key, dst, &db.getScratch); ok || tomb {
+		if v, ok, tomb := db.ssts[i].find(ctx, db.pmReg, key, dst, &db.scratch); ok || tomb {
 			return v, ok
 		}
 	}
 	return nil, false
 }
 
-// flushLocked writes the memtable to a fresh SST (sequential non-temporal
-// stream), truncates the WAL, and resets the memtable. Tombstones are
-// carried into the table so they keep shadowing older versions.
+// flushLocked writes the memtable to a fresh SST, truncates the WAL, and
+// resets the memtable. Tombstones are carried into the table so they keep
+// shadowing older versions.
 func (db *DB) flushLocked(ctx *platform.MemCtx) error {
-	table := &sst{base: db.sstNext}
-	var buf bytes.Buffer
-	seen := map[string]bool{}
-	db.mem.Scan(ctx, func(key, val []byte, tomb bool) bool {
-		if seen[string(key)] {
-			return true // newest version already emitted
-		}
-		seen[string(key)] = true
-		table.index = append(table.index, sstIndexEntry{
-			key: append([]byte(nil), key...),
-			off: int64(buf.Len()),
-		})
-		rec := encodeAny(key, val, tomb)
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(rec)))
-		buf.Write(n[:])
-		buf.Write(rec)
-		return true
-	})
-	table.size = int64(buf.Len())
-	if table.base+table.size > db.opt.PM.Size {
-		return errors.New("lsmkv: SST area exhausted")
+	db.cursors = append(db.cursors[:0], db.memCur.seek(ctx, db.mem, nil))
+	table, err := db.writeTable(ctx, db.cursors, true)
+	if err != nil {
+		return err
 	}
-	if table.size > 0 {
-		db.sstPersister.Persist(ctx, db.pmReg, table.base, buf.Len(), buf.Bytes())
+	if len(table.index) > 0 {
 		db.ssts = append(db.ssts, table)
-		db.sstNext += (table.size + 4095) &^ 4095
 	}
 	if len(db.ssts) > compactionTrigger {
 		if err := db.compactLocked(ctx); err != nil {
@@ -293,10 +267,8 @@ func (db *DB) flushLocked(ctx *platform.MemCtx) error {
 	}
 	if db.wal != nil {
 		db.wal.Truncate(ctx)
-		db.mem = NewSkiplist(ctx, db.memNS, db.memBase, db.opt.MemtableBytes, false, db.opt.Seed+uint64(db.flushes)+1)
-	} else {
-		db.mem = NewSkiplist(ctx, db.memNS, db.memBase, db.opt.MemtableBytes, true, db.opt.Seed+uint64(db.flushes)+1)
 	}
+	db.mem = NewSkiplist(ctx, db.memNS, db.memBase, db.opt.MemtableBytes, db.wal == nil, db.opt.Seed+uint64(db.flushes)+1)
 	db.flushes++
 	return nil
 }
@@ -314,8 +286,8 @@ func (db *DB) Flushes() int { return db.flushes }
 // compactionTrigger is the L0 table count that starts a merge.
 const compactionTrigger = 4
 
-// compactLocked merge-sorts every SST into one (newest version of each
-// key wins), writes it sequentially — the access pattern 3D XPoint likes —
+// compactLocked merges every SST into one (newest version of each key
+// wins), writes it sequentially — the access pattern 3D XPoint likes —
 // and retires the inputs. Tombstones drop out here: the merged table is
 // the lowest level, so nothing older remains for them to shadow. Space
 // management is generational: the merged table is appended and the old
@@ -325,56 +297,43 @@ func (db *DB) compactLocked(ctx *platform.MemCtx) error {
 	if len(db.ssts) < 2 {
 		return nil
 	}
-	merged := &sst{base: db.sstNext}
-	var buf bytes.Buffer
-	// Newest tables take precedence: iterate newest-first, keep first
-	// occurrence of each key, then emit in sorted order.
-	kept := map[string][]byte{}
-	seen := map[string]bool{}
-	var order []string
-	for i := len(db.ssts) - 1; i >= 0; i-- {
-		t := db.ssts[i]
-		for _, ie := range t.index {
-			k := string(ie.key)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			_, v, tomb, err := decodeRecord(t.read(ctx, db.pmReg, ie, nil))
-			if err != nil {
-				return err
-			}
-			if tomb {
-				continue // newest version is a delete: the key vanishes
-			}
-			kept[k] = append([]byte(nil), v...)
-			order = append(order, k)
-		}
+	db.cursors = db.tableCursors(db.cursors[:0], nil)
+	merged, err := db.writeTable(ctx, db.cursors, false)
+	if err != nil {
+		return err
 	}
-	sort.Strings(order)
-	for _, k := range order {
-		merged.index = append(merged.index, sstIndexEntry{
-			key: []byte(k), off: int64(buf.Len()),
-		})
-		rec := encodeRecord([]byte(k), kept[k])
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(rec)))
-		buf.Write(n[:])
-		buf.Write(rec)
-	}
-	merged.size = int64(buf.Len())
-	if merged.base+merged.size > db.opt.PM.Size {
-		return errors.New("lsmkv: SST area exhausted during compaction")
-	}
-	if merged.size > 0 {
-		db.sstPersister.Persist(ctx, db.pmReg, merged.base, buf.Len(), buf.Bytes())
-		db.sstNext += (merged.size + 4095) &^ 4095
+	clear(db.tableCurs) // let the retired tables go
+	db.ssts = nil
+	if len(merged.index) > 0 {
 		db.ssts = []*sst{merged}
-	} else {
-		db.ssts = nil
 	}
 	db.compactions++
 	return nil
+}
+
+// writeTable merges cursors into one table at the append frontier, each
+// record framed as [4B len][record] and every key indexed with its
+// tombstone bit, and installs it with one non-temporal persist. A merge
+// that emits nothing leaves an empty table and writes nothing.
+func (db *DB) writeTable(ctx *platform.MemCtx, cursors []cursor, keepTombs bool) (*sst, error) {
+	table := &sst{base: db.sstNext}
+	var buf []byte
+	db.merge(ctx, cursors, keepTombs, math.MaxInt, func(key, val []byte, tomb bool) bool {
+		at := len(buf)
+		table.index = append(table.index, sstIndexEntry{key: bytes.Clone(key), off: int64(at), tomb: tomb})
+		buf = appendRecord(append(buf, 0, 0, 0, 0), key, val, tomb)
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		return true
+	})
+	size := int64(len(buf))
+	if table.base+size > db.opt.PM.Size {
+		return nil, errors.New("lsmkv: SST area exhausted")
+	}
+	if size > 0 {
+		db.sstPersister.Persist(ctx, db.pmReg, table.base, len(buf), buf)
+		db.sstNext += (size + 4095) &^ 4095
+	}
+	return table, nil
 }
 
 // Compactions reports how many SST merges occurred.
@@ -420,29 +379,16 @@ func (t *sst) find(ctx *platform.MemCtx, pm pmem.Region, key, dst []byte, scratc
 // therefore capped one byte short of 64 KB).
 const tombstoneLen = 0xFFFF
 
-func encodeRecord(key, val []byte) []byte {
-	rec := make([]byte, 4+len(key)+len(val))
-	binary.LittleEndian.PutUint16(rec[0:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(rec[2:], uint16(len(val)))
-	copy(rec[4:], key)
-	copy(rec[4+len(key):], val)
-	return rec
-}
-
-// encodeTombstone renders a delete marker for key.
-func encodeTombstone(key []byte) []byte {
-	rec := make([]byte, 4+len(key))
-	binary.LittleEndian.PutUint16(rec[0:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(rec[2:], tombstoneLen)
-	copy(rec[4:], key)
-	return rec
-}
-
-func encodeAny(key, val []byte, tomb bool) []byte {
+// appendRecord appends one record, [2B keyLen][2B valLen][key][val], to
+// dst. A tombstone carries the tombstoneLen sentinel and no value.
+func appendRecord(dst, key, val []byte, tomb bool) []byte {
+	vl := uint16(len(val))
 	if tomb {
-		return encodeTombstone(key)
+		val, vl = nil, tombstoneLen
 	}
-	return encodeRecord(key, val)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = binary.LittleEndian.AppendUint16(dst, vl)
+	return append(append(dst, key...), val...)
 }
 
 func decodeRecord(rec []byte) (key, val []byte, tomb bool, err error) {
@@ -465,6 +411,8 @@ func decodeRecord(rec []byte) (key, val []byte, tomb bool, err error) {
 
 // RecoverWAL rebuilds a WAL-mode DB's memtable from the durable log after
 // a crash, returning the recovered DB and how many records were replayed.
+// Replay stops at the first record that does not decode or does not fit
+// the memtable.
 func RecoverWAL(ctx *platform.MemCtx, opt Options) (*DB, int, error) {
 	if opt.Mode == ModePersistentMemtable {
 		return nil, 0, errors.New("lsmkv: RecoverWAL is for WAL modes")
@@ -476,21 +424,13 @@ func RecoverWAL(ctx *platform.MemCtx, opt Options) (*DB, int, error) {
 	n := 0
 	err = db.wal.Replay(func(payload []byte) bool {
 		k, v, tomb, derr := decodeRecord(payload)
-		if derr != nil {
-			return false
-		}
-		if tomb {
-			if db.mem.Delete(ctx, k) != nil {
-				return false
-			}
-		} else if db.mem.Insert(ctx, k, v) != nil {
+		if derr != nil || db.memInsert(ctx, k, v, tomb) != nil {
 			return false
 		}
 		db.wal.head += int64(8 + len(payload))
 		n++
 		return true
 	})
-	db.replayed = n
 	return db, n, err
 }
 
@@ -499,13 +439,10 @@ func RecoverPersistent(ctx *platform.MemCtx, opt Options) (*DB, error) {
 	if opt.Mode != ModePersistentMemtable {
 		return nil, errors.New("lsmkv: RecoverPersistent needs ModePersistentMemtable")
 	}
-	if opt.MemtableBytes == 0 {
-		opt.MemtableBytes = 1 << 20
+	db, err := newDB(opt)
+	if err != nil {
+		return nil, err
 	}
-	db := &DB{opt: opt, memNS: opt.PM, memBase: walRegion}
-	db.attachPM()
-	db.mem = RecoverSkiplist(ctx, opt.PM, db.memBase, opt.MemtableBytes, opt.Seed)
-	db.sstBase = walRegion + opt.MemtableBytes
-	db.sstNext = db.sstBase
+	db.mem = RecoverSkiplist(ctx, db.memNS, db.memBase, db.opt.MemtableBytes, opt.Seed)
 	return db, nil
 }

@@ -2,7 +2,9 @@ package lsmkv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 
@@ -48,15 +50,20 @@ func TestSkiplistBasic(t *testing.T) {
 		if _, ok := s.Get(ctx, []byte("key-999")); ok {
 			t.Error("phantom key")
 		}
-		// Scan order is sorted.
+		// The memtable cursor walks every entry in sorted order.
 		var prev []byte
-		s.Scan(ctx, func(k, _ []byte, _ bool) bool {
-			if prev != nil && bytes.Compare(prev, k) > 0 {
+		var c memCursor
+		n := 0
+		for c.seek(ctx, s, nil); !c.done; c.advance(ctx) {
+			if prev != nil && bytes.Compare(prev, c.key) > 0 {
 				t.Error("scan out of order")
 			}
-			prev = append(prev[:0], k...)
-			return true
-		})
+			prev = append(prev[:0], c.key...)
+			n++
+		}
+		if n != s.Count() {
+			t.Errorf("cursor walked %d entries, want %d", n, s.Count())
+		}
 	})
 	p.Run()
 }
@@ -100,14 +107,14 @@ func TestSkiplistSortedProperty(t *testing.T) {
 				}
 			}
 			var prev []byte
-			s.Scan(ctx, func(k, _ []byte, _ bool) bool {
-				if prev != nil && bytes.Compare(prev, k) > 0 {
+			var c memCursor
+			for c.seek(ctx, s, nil); !c.done; c.advance(ctx) {
+				if prev != nil && bytes.Compare(prev, c.key) > 0 {
 					ok = false
-					return false
+					return
 				}
-				prev = append(prev[:0], k...)
-				return true
-			})
+				prev = append(prev[:0], c.key...)
+			}
 		})
 		p.Run()
 		return ok
@@ -195,6 +202,110 @@ func TestWALTruncate(t *testing.T) {
 	if len(got) != 1 || got[0] != "kept" {
 		t.Fatalf("after truncate: %v", got)
 	}
+}
+
+// realWAL returns the record area of a log that 30 Sets and 3 Deletes
+// left behind.
+func realWAL(tb testing.TB) []byte {
+	p, pm, dram := newDBPlatform(tb)
+	var head int64
+	p.Go("t", 0, func(ctx *platform.MemCtx) {
+		db, err := Open(ctx, Options{Mode: ModeWALFLEX, PM: pm, DRAM: dram, Seed: 16})
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		for i := 0; i < 30; i++ {
+			db.Set(ctx, []byte(fmt.Sprintf("k%02d", i%20)), []byte(fmt.Sprintf("v%02d", i)))
+		}
+		for _, k := range []string{"k03", "k11", "k19"} {
+			db.Delete(ctx, []byte(k))
+		}
+		head = db.wal.head
+	})
+	p.Run()
+	log := make([]byte, head)
+	pm.ReadDurable(walHeaderSize, log)
+	return log
+}
+
+// replayRef walks a WAL's record area the way recovery must, over data
+// followed by the region's zeros: one [4B len][4B crc][payload] frame per
+// record, stopping at a zero length, a frame that overruns the region, a
+// CRC mismatch or a payload that is no record. It returns how many frames
+// replay, the bytes they span, and each key's newest value (nil where the
+// newest record is a tombstone).
+func replayRef(data []byte) (frames, span int, model map[string][]byte) {
+	at := func(off, n int) []byte {
+		b := make([]byte, n)
+		if off < len(data) {
+			copy(b, data[off:])
+		}
+		return b
+	}
+	model = map[string][]byte{}
+	end := walRegion - walHeaderSize
+	for span+8 <= end {
+		hdr := at(span, 8)
+		n := int(binary.LittleEndian.Uint32(hdr))
+		if n == 0 || span+8+n > end {
+			break
+		}
+		rec := at(span+8, n)
+		if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(hdr[4:]) || n < 4 {
+			break
+		}
+		kl, vl := int(binary.LittleEndian.Uint16(rec)), int(binary.LittleEndian.Uint16(rec[2:]))
+		switch {
+		case vl == 0xFFFF && 4+kl <= n:
+			model[string(rec[4:4+kl])] = nil
+		case vl != 0xFFFF && 4+kl+vl <= n:
+			model[string(rec[4:4+kl])] = rec[4+kl : 4+kl+vl]
+		default:
+			return frames, span, model
+		}
+		frames++
+		span += 8 + n
+	}
+	return frames, span, model
+}
+
+// FuzzRecoverWAL installs arbitrary bytes as a WAL's record area and
+// recovers from it. RecoverWAL must never panic, and it must replay
+// exactly the leading frames replayRef accepts, leave the log's head just
+// past them, and serve each key's newest replayed version.
+func FuzzRecoverWAL(f *testing.F) {
+	log := realWAL(f)
+	if frames, span, _ := replayRef(log); frames != 33 || span != len(log) {
+		f.Fatalf("the reference walk reads %d records over %d of %d bytes of a real log, want 33 over all", frames, span, len(log))
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-5]) // torn tail
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return // larger logs could outgrow the 1 MB memtable
+		}
+		frames, span, model := replayRef(data)
+		p, pm, dram := newDBPlatform(t)
+		pm.WriteDurable(walHeaderSize, data)
+		p.Go("recover", 0, func(ctx *platform.MemCtx) {
+			db, n, err := RecoverWAL(ctx, Options{Mode: ModeWALFLEX, PM: pm, DRAM: dram, Seed: 16})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n != frames || db.wal.head != int64(span) {
+				t.Errorf("replayed %d records over %d bytes, want %d over %d", n, db.wal.head, frames, span)
+			}
+			for k, want := range model {
+				got, ok := db.Get(ctx, []byte(k))
+				if ok != (want != nil) || !bytes.Equal(got, want) {
+					t.Errorf("key %x = %x (present %v), want %x (present %v)", k, got, ok, want, want != nil)
+				}
+			}
+		})
+		p.Run()
+	})
 }
 
 func TestDBSetGetAllModes(t *testing.T) {
@@ -514,10 +625,25 @@ func TestFig8Inversion(t *testing.T) {
 	}
 }
 
+// xpReadBytes sums the 64 B reads every 3D XPoint DIMM's controller
+// received: the device reads of the platform's one PM namespace.
+func xpReadBytes(p *platform.Platform) int64 {
+	g := p.Config().Geometry
+	var n int64
+	for sk := 0; sk < g.Sockets; sk++ {
+		for ch := 0; ch < g.ChannelsPerSocket; ch++ {
+			n += p.XPDIMMCounters(sk, ch).CtrlReadBytes
+		}
+	}
+	return n
+}
+
 func TestDBCompaction(t *testing.T) {
 	p, pm, dram := newDBPlatform(t)
+	var db *DB
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
-		db, err := Open(ctx, Options{Mode: ModeWALFLEX, PM: pm, DRAM: dram,
+		var err error
+		db, err = Open(ctx, Options{Mode: ModeWALFLEX, PM: pm, DRAM: dram,
 			MemtableBytes: 8 << 10, Seed: 11})
 		if err != nil {
 			t.Error(err)
@@ -552,4 +678,17 @@ func TestDBCompaction(t *testing.T) {
 		}
 	})
 	p.Run()
+	if t.Failed() {
+		return
+	}
+	// Compaction orders on the tables' in-DRAM indexes and loads only the
+	// records it keeps: over 7 flushes and 1 compaction the workload reads
+	// 1920 bytes of PM, where cursors that load every record they pass
+	// read 9344.
+	if db.Flushes() != 7 || db.Compactions() != 1 {
+		t.Fatalf("%d flushes and %d compactions, want 7 and 1", db.Flushes(), db.Compactions())
+	}
+	if got := xpReadBytes(p); got > 1920 {
+		t.Errorf("the workload read %d bytes of PM, want at most 1920", got)
+	}
 }

@@ -7,29 +7,39 @@ import (
 	"optanestudy/internal/platform"
 )
 
-// cursor is one source of sorted records for the merge scan.
+// cursor is one sorted source of a merge: entries in ascending key order,
+// newest version first where the source holds several.
 type cursor interface {
-	// peek returns the current record without advancing; ok is false when
-	// the source is exhausted.
-	peek(ctx *platform.MemCtx) (key, val []byte, tomb, ok bool)
+	// peek returns the current entry's key and tombstone bit; ok is false
+	// once the source is exhausted.
+	peek() (key []byte, tomb, ok bool)
+	// value loads the current entry's value.
+	value(ctx *platform.MemCtx) []byte
 	advance(ctx *platform.MemCtx)
 }
 
-// memCursor walks a skiplist's level-0 chain from a start key.
+// memCursor walks a skiplist's level-0 chain, loading each entry's header,
+// key and value as it steps onto it, into buffers the DB owns. The native
+// scans of service/kv/lsmkv-scan walk it inside the neutrality guard, so
+// its loads and their order are pinned by the guard's baseline.
 type memCursor struct {
-	s   *Skiplist
-	cur nodeRef
-	// loaded caches the current node's key/val to avoid re-reading on
-	// repeated peeks.
+	s        *Skiplist
+	cur      nodeRef
 	key, val []byte
-	tomb     bool
 	done     bool
-	primed   bool
 }
 
-func newMemCursor(ctx *platform.MemCtx, s *Skiplist, start []byte) *memCursor {
-	preds := s.findPredecessors(ctx, start)
-	return &memCursor{s: s, cur: preds[0]}
+// seek positions c on s's first entry with key ≥ start and returns it; a
+// nil start walks from the head tower, over the whole memtable.
+func (c *memCursor) seek(ctx *platform.MemCtx, s *Skiplist, start []byte) cursor {
+	c.s, c.done = s, false
+	if start == nil {
+		c.cur = s.loadNode(ctx, s.head)
+	} else {
+		c.cur = s.findPredecessors(ctx, start)[0]
+	}
+	c.step(ctx)
+	return c
 }
 
 func (c *memCursor) step(ctx *platform.MemCtx) {
@@ -39,63 +49,63 @@ func (c *memCursor) step(ctx *platform.MemCtx) {
 		return
 	}
 	c.cur = c.s.loadNode(ctx, nextOff)
-	c.key = c.s.nodeKeyInto(ctx, c.cur, nil)
-	c.val = c.s.nodeValInto(ctx, c.cur, nil)
-	c.tomb = c.cur.tomb
+	c.key = c.s.nodeKeyInto(ctx, c.cur, c.key[:cap(c.key)])
+	c.val = c.s.nodeValInto(ctx, c.cur, c.val[:cap(c.val)])
 }
 
-func (c *memCursor) peek(ctx *platform.MemCtx) ([]byte, []byte, bool, bool) {
-	if !c.primed {
-		c.primed = true
-		c.step(ctx)
-	}
-	if c.done {
-		return nil, nil, false, false
-	}
-	return c.key, c.val, c.tomb, true
-}
+func (c *memCursor) peek() ([]byte, bool, bool) { return c.key, c.cur.tomb, !c.done }
+
+func (c *memCursor) value(*platform.MemCtx) []byte { return c.val }
 
 func (c *memCursor) advance(ctx *platform.MemCtx) {
-	if c.primed && !c.done {
+	if !c.done {
 		c.step(ctx)
 	}
 }
 
-// sstCursor walks one table's index from the first key ≥ start.
+// sstCursor walks one table in key order on its in-DRAM index, which
+// carries each key's tombstone bit, so it loads a record from PM only
+// when the merge emits it.
 type sstCursor struct {
-	t        *sst
-	db       *DB
-	i        int
-	key, val []byte
-	tomb     bool
-	loaded   bool
+	db *DB
+	t  *sst
+	i  int
 }
 
-func newSSTCursor(t *sst, db *DB, start []byte) *sstCursor {
-	i := sort.Search(len(t.index), func(i int) bool {
-		return bytes.Compare(t.index[i].key, start) >= 0
-	})
-	return &sstCursor{t: t, db: db, i: i}
-}
-
-func (c *sstCursor) peek(ctx *platform.MemCtx) ([]byte, []byte, bool, bool) {
+func (c *sstCursor) peek() ([]byte, bool, bool) {
 	if c.i >= len(c.t.index) {
-		return nil, nil, false, false
+		return nil, false, false
 	}
-	if !c.loaded {
-		k, v, tomb, err := decodeRecord(c.t.read(ctx, c.db.pmReg, c.t.index[c.i], nil))
-		if err != nil {
-			c.i = len(c.t.index)
-			return nil, nil, false, false
-		}
-		c.key, c.val, c.tomb, c.loaded = k, v, tomb, true
-	}
-	return c.key, c.val, c.tomb, true
+	e := &c.t.index[c.i]
+	return e.key, e.tomb, true
 }
 
-func (c *sstCursor) advance(*platform.MemCtx) {
-	c.i++
-	c.loaded = false
+func (c *sstCursor) value(ctx *platform.MemCtx) []byte {
+	rec := c.t.read(ctx, c.db.pmReg, c.t.index[c.i], c.db.scratch)
+	c.db.scratch = rec[:cap(rec)]
+	_, v, _, err := decodeRecord(rec)
+	if err != nil {
+		panic(err) // the index was built from the very bytes the table holds
+	}
+	return v
+}
+
+func (c *sstCursor) advance(*platform.MemCtx) { c.i++ }
+
+// tableCursors appends to cs a cursor per table, newest first, each at
+// the table's first key ≥ start.
+func (db *DB) tableCursors(cs []cursor, start []byte) []cursor {
+	if len(db.tableCurs) < len(db.ssts) {
+		db.tableCurs = make([]sstCursor, len(db.ssts))
+	}
+	for j := range db.ssts {
+		t := db.ssts[len(db.ssts)-1-j]
+		db.tableCurs[j] = sstCursor{db: db, t: t, i: sort.Search(len(t.index), func(i int) bool {
+			return bytes.Compare(t.index[i].key, start) >= 0
+		})}
+		cs = append(cs, &db.tableCurs[j])
+	}
+	return cs
 }
 
 // Scan streams up to n live records with key ≥ start through fn in
@@ -103,52 +113,55 @@ func (c *sstCursor) advance(*platform.MemCtx) {
 // sorted-range scan (an LSM range read), as opposed to synthesizing a
 // range as n point lookups. For duplicate keys the newest source wins and
 // tombstones shadow older versions (and are not counted). Returns the
-// number of records emitted; fn returning false stops early.
+// number of records emitted; fn returning false stops early. fn's key and
+// val are valid only until it returns.
 func (db *DB) Scan(ctx *platform.MemCtx, start []byte, n int, fn func(key, val []byte) bool) int {
 	db.mu.Lock(ctx.Proc())
 	defer db.mu.Unlock()
-	// Cursors in newest-first precedence order: memtable, then SSTs from
-	// newest to oldest.
-	cursors := make([]cursor, 0, 1+len(db.ssts))
-	cursors = append(cursors, newMemCursor(ctx, db.mem, start))
-	for i := len(db.ssts) - 1; i >= 0; i-- {
-		cursors = append(cursors, newSSTCursor(db.ssts[i], db, start))
-	}
+	db.cursors = db.tableCursors(append(db.cursors[:0], db.memCur.seek(ctx, db.mem, start)), start)
+	return db.merge(ctx, db.cursors, false, n, func(key, val []byte, _ bool) bool { return fn(key, val) })
+}
+
+// merge is the LSM's one producer of sorted runs: the native scan, a
+// flush and a compaction all drive it. It streams up to n records from
+// cursors through fn in ascending key order and returns how many fn saw;
+// fn returning false stops it early. cursors are in precedence order,
+// newest first: where several hold a key, the first one's version wins
+// and the rest are skipped. A winning tombstone reaches fn only when
+// keepTombs is set (a flush carries tombstones so they keep shadowing
+// older tables); otherwise it hides the key and is not counted. The
+// winner's value is loaded only when fn will see it.
+func (db *DB) merge(ctx *platform.MemCtx, cursors []cursor, keepTombs bool, n int, fn func(key, val []byte, tomb bool) bool) int {
 	emitted := 0
 	for emitted < n {
-		// Find the smallest current key; precedence order breaks ties.
+		var win cursor
 		var minKey []byte
-		winner := -1
-		var winVal []byte
-		var winTomb bool
-		for i, c := range cursors {
-			k, v, tomb, ok := c.peek(ctx)
-			if !ok {
-				continue
-			}
-			if winner == -1 || bytes.Compare(k, minKey) < 0 {
-				minKey, winner, winVal, winTomb = k, i, v, tomb
+		var tomb bool
+		for _, c := range cursors {
+			if k, t, ok := c.peek(); ok && (win == nil || bytes.Compare(k, minKey) < 0) {
+				win, minKey, tomb = c, k, t
 			}
 		}
-		if winner == -1 {
+		if win == nil {
 			break // every source exhausted
 		}
-		// Consume this key from every source (duplicates in the memtable
-		// sit adjacent, newest first — the first peek already won).
+		// Advancing a cursor overwrites its buffers, so the merge keeps its
+		// own copy of the winner before consuming the key from every source.
+		db.winKey = append(db.winKey[:0], minKey...)
+		db.winVal = db.winVal[:0]
+		if !tomb {
+			db.winVal = append(db.winVal, win.value(ctx)...)
+		}
 		for _, c := range cursors {
-			for {
-				k, _, _, ok := c.peek(ctx)
-				if !ok || !bytes.Equal(k, minKey) {
-					break
-				}
+			for k, _, ok := c.peek(); ok && bytes.Equal(k, db.winKey); k, _, ok = c.peek() {
 				c.advance(ctx)
 			}
 		}
-		if winTomb {
+		if tomb && !keepTombs {
 			continue
 		}
 		emitted++
-		if !fn(minKey, winVal) {
+		if !fn(db.winKey, db.winVal, tomb) {
 			break
 		}
 	}

@@ -81,9 +81,6 @@ func (s *Skiplist) write(ctx *platform.MemCtx, off int64, data []byte) {
 // Count returns the number of entries (tombstones included).
 func (s *Skiplist) Count() int { return s.count }
 
-// Bytes returns the arena bytes consumed.
-func (s *Skiplist) Bytes() int64 { return s.arena }
-
 func (s *Skiplist) randomHeight() int {
 	h := 1
 	for h < maxHeight && s.rng.Bool(0.25) {
@@ -123,9 +120,8 @@ func (s *Skiplist) loadNext(ctx *platform.MemCtx, n nodeRef, level int) int64 {
 }
 
 // nodeKeyInto loads n's key into buf when it fits, or into a fresh slice
-// when it does not: lookups probe through a stack buffer so the serving hot
-// path does not allocate per chain hop, while walks that keep the key pass
-// nil.
+// when it does not: lookups probe through a stack buffer and the memtable
+// cursor through its own, so neither allocates per chain hop once warm.
 func (s *Skiplist) nodeKeyInto(ctx *platform.MemCtx, n nodeRef, buf []byte) []byte {
 	return s.reg.LoadFit(ctx, n.off+nodeHeaderSize+int64(n.height)*8, n.keyLen, buf)
 }
@@ -274,22 +270,6 @@ func (s *Skiplist) Find(ctx *platform.MemCtx, key, dst []byte) (val []byte, ok, 
 		return nil, false, true
 	}
 	return s.nodeValInto(ctx, n, dst), true, false
-}
-
-// Scan walks entries in key order, newest version first for duplicates,
-// tombstones included (fn's tomb argument reports them).
-func (s *Skiplist) Scan(ctx *platform.MemCtx, fn func(key, val []byte, tomb bool) bool) {
-	cur := s.loadNode(ctx, s.head)
-	for {
-		nextOff := s.loadNext(ctx, cur, 0)
-		if nextOff == 0 {
-			return
-		}
-		cur = s.loadNode(ctx, nextOff)
-		if !fn(s.nodeKeyInto(ctx, cur, nil), s.nodeValInto(ctx, cur, nil), cur.tomb) {
-			return
-		}
-	}
 }
 
 // Recover rebuilds the volatile bookkeeping of a persistent skiplist from

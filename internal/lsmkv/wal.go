@@ -116,9 +116,6 @@ func (w *WAL) Truncate(ctx *platform.MemCtx) {
 	w.head = 0
 }
 
-// Bytes returns the bytes currently in the log.
-func (w *WAL) Bytes() int64 { return w.head }
-
 // Replay iterates the durable records (recovery path, untimed).
 func (w *WAL) Replay(fn func(payload []byte) bool) error {
 	off := int64(walHeaderSize)

@@ -27,9 +27,6 @@ func (p *Proc) Now() Time { return p.now }
 // Name returns the proc's debug name.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this proc belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // AdvanceTo moves the proc's clock to t (no-op if t is in the past) and
 // yields to the scheduler so that other procs with earlier clocks can run.
 func (p *Proc) AdvanceTo(t Time) {

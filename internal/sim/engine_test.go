@@ -75,7 +75,7 @@ func TestEngineNestedSpawn(t *testing.T) {
 	var childTime Time
 	e.Go("parent", 0, func(p *Proc) {
 		p.Advance(100 * Nanosecond)
-		p.Engine().Go("child", p.Now(), func(c *Proc) {
+		e.Go("child", p.Now(), func(c *Proc) {
 			c.Advance(Nanosecond)
 			childTime = c.Now()
 		})
