@@ -41,7 +41,7 @@ func DefaultConfig() Config {
 type Victim struct {
 	Addr  int64
 	Dirty bool
-	Data  []byte // overlay contents if the line carried data, else nil
+	Data  []byte // overlay contents if the line carried data, else nil; valid until the next LLC call
 	Mask  uint64 // bitmask of valid overlay bytes
 }
 
@@ -58,16 +58,23 @@ type Victim struct {
 // Config.Lines and the table up to twice that: most simulated platforms
 // touch a small fraction of the cache, so presizing would make every
 // platform pay for a full one.
+//
+// The overlay bytes of lines written by tracked stores live in a slab of
+// 64 B slots with a free list; an entry names its slot by number, so the
+// entry array holds no pointers for the garbage collector to scan. An
+// overlay taken out of the cache is copied into one per-LLC buffer before
+// its slot is freed, so a slot the same call reuses never overwrites
+// bytes the caller still holds.
 type LLC struct {
 	cfg     Config
 	rng     *sim.RNG
 	entries []entry  // resident lines in replacement order
 	index   []uint32 // position+1 of the entry hashed to this slot; 0 = empty
 	shift   uint     // 64 - log2(len(index))
-	// data holds the overlay bytes of lines written by tracked stores,
-	// keyed by line address; it stays outside entries so the entry array
-	// holds no pointers for the garbage collector to scan.
-	data map[int64][]byte
+
+	slab [][mem.CacheLine]byte // overlay slots
+	free []uint32              // slab slots not in use
+	out  [mem.CacheLine]byte   // the overlay last taken out of the cache
 }
 
 type entry struct {
@@ -76,6 +83,7 @@ type entry struct {
 	// these bytes may be written back; the rest belong to durable storage
 	// or other writers).
 	mask  uint64
+	data  uint32 // slab slot+1 of the overlay bytes; 0 = none
 	dirty bool
 }
 
@@ -141,9 +149,13 @@ func (c *LLC) Dirty(addr int64) bool {
 }
 
 // Data returns the overlay bytes and validity mask for a resident line.
+// The bytes are valid until the next LLC call.
 func (c *LLC) Data(addr int64) ([]byte, uint64) {
 	if e := c.lookup(addr); e != nil {
-		return c.data[addr], e.mask
+		if e.data != 0 {
+			return c.slab[e.data-1][:], e.mask
+		}
+		return nil, e.mask
 	}
 	return nil, 0
 }
@@ -165,9 +177,9 @@ func (c *LLC) insert(addr int64) (Victim, bool, *entry) {
 	evicted := false
 	if n := len(c.entries); n >= c.cfg.Lines {
 		i := c.rng.Intn(n)
-		e := c.entries[i]
+		e := &c.entries[i]
 		vslot, _ := c.find(e.addr)
-		v = Victim{Addr: e.addr, Dirty: e.dirty, Data: c.takeData(e.addr), Mask: e.mask}
+		v = Victim{Addr: e.addr, Dirty: e.dirty, Data: c.takeData(e), Mask: e.mask}
 		c.remove(i, vslot)
 		evicted = true
 		slot, _ = c.find(addr) // the deletion may have shifted the chain
@@ -244,13 +256,16 @@ func (c *LLC) unindex(slot int) {
 	c.index[hole] = 0
 }
 
-// takeData removes and returns addr's overlay bytes (nil if none).
-func (c *LLC) takeData(addr int64) []byte {
-	d, ok := c.data[addr]
-	if ok {
-		delete(c.data, addr)
+// takeData detaches e's overlay, frees its slot and returns a copy of
+// its bytes in c.out (nil if e has none).
+func (c *LLC) takeData(e *entry) []byte {
+	if e.data == 0 {
+		return nil
 	}
-	return d
+	c.out = c.slab[e.data-1]
+	c.free = append(c.free, e.data-1)
+	e.data = 0
+	return c.out[:]
 }
 
 // MarkDirty sets the line dirty, inserting it if absent (the caller is
@@ -261,15 +276,10 @@ func (c *LLC) MarkDirty(addr int64, off int, data []byte) (Victim, bool) {
 	v, evicted, e := c.insert(addr)
 	e.dirty = true
 	if data != nil {
-		d := c.data[addr]
-		if d == nil {
-			d = make([]byte, mem.CacheLine)
-			if c.data == nil {
-				c.data = make(map[int64][]byte)
-			}
-			c.data[addr] = d
+		if e.data == 0 {
+			e.data = c.newSlot() + 1
 		}
-		copy(d[off:], data)
+		copy(c.slab[e.data-1][off:], data)
 		for i := 0; i < len(data); i++ {
 			e.mask |= 1 << uint(off+i)
 		}
@@ -277,10 +287,23 @@ func (c *LLC) MarkDirty(addr int64, off int, data []byte) (Victim, bool) {
 	return v, evicted
 }
 
+// newSlot returns a slab slot, reusing a freed one when it can. A reused
+// slot keeps its old bytes: only the bytes under an entry's mask are
+// ever read.
+func (c *LLC) newSlot() uint32 {
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free = c.free[:n-1]
+		return s
+	}
+	c.slab = append(c.slab, [mem.CacheLine]byte{})
+	return uint32(len(c.slab) - 1)
+}
+
 // WriteBack clears the line's dirty bit and overlay, returning the overlay
-// data, its byte mask, and whether the line was dirty. The line stays
-// resident (clwb semantics); after write-back the durable copy is
-// authoritative, so the overlay is dropped.
+// data (valid until the next LLC call), its byte mask, and whether the
+// line was dirty. The line stays resident (clwb semantics); after
+// write-back the durable copy is authoritative, so the overlay is dropped.
 func (c *LLC) WriteBack(addr int64) ([]byte, uint64, bool) {
 	e := c.lookup(addr)
 	if e == nil || !e.dirty {
@@ -288,20 +311,22 @@ func (c *LLC) WriteBack(addr int64) ([]byte, uint64, bool) {
 	}
 	mask := e.mask
 	e.dirty, e.mask = false, 0
-	return c.takeData(addr), mask, true
+	return c.takeData(e), mask, true
 }
 
 // Evict removes the line (clflush/clflushopt semantics), returning its
-// overlay data, mask, and whether it was dirty.
+// overlay data (valid until the next LLC call), mask, and whether it was
+// dirty.
 func (c *LLC) Evict(addr int64) ([]byte, uint64, bool) {
 	slot, ok := c.find(addr)
 	if !ok {
 		return nil, 0, false
 	}
 	i := int(c.index[slot] - 1)
-	e := c.entries[i]
+	e := &c.entries[i]
+	data, mask, dirty := c.takeData(e), e.mask, e.dirty
 	c.remove(i, slot)
-	return c.takeData(addr), e.mask, e.dirty
+	return data, mask, dirty
 }
 
 // DropAll empties the cache, discarding dirty data — the volatile half of a
@@ -327,8 +352,8 @@ func (c *LLC) FlushAll(fn func(addr int64, data []byte, mask uint64)) int {
 	for _, e := range c.entries {
 		if e.dirty {
 			flushed++
-			if d := c.data[e.addr]; d != nil {
-				fn(e.addr, d, e.mask)
+			if e.data != 0 {
+				fn(e.addr, c.slab[e.data-1][:], e.mask)
 			}
 		}
 	}
@@ -340,7 +365,8 @@ func (c *LLC) FlushAll(fn func(addr int64, data []byte, mask uint64)) int {
 func (c *LLC) clear() {
 	c.entries = c.entries[:0]
 	clear(c.index)
-	clear(c.data)
+	c.slab = c.slab[:0]
+	c.free = c.free[:0]
 }
 
 // WCBuffer is one thread's write-combining buffer set for non-temporal

@@ -365,6 +365,25 @@ func checkAgainstReference(t *testing.T, capacity int, ops []llcOp) {
 			t.Fatalf("capacity %d, op %d (kind %d, addr %#x): LLC diverges from the reference (len %d, want %d)",
 				capacity, i, op.kind, op.addr, c.Len(), len(r.keys))
 		}
+		if i%256 == 255 || i == len(ops)-1 {
+			checkSlab(t, c, r)
+		}
+	}
+}
+
+// checkSlab fails unless the slab slots in use are exactly one per line
+// the reference holds an overlay for: a freed overlay's slot goes back on
+// the free list.
+func checkSlab(t *testing.T, c *LLC, r *refLLC) {
+	t.Helper()
+	want := 0
+	for _, l := range r.lines {
+		if l.data != nil {
+			want++
+		}
+	}
+	if got := len(c.slab) - len(c.free); got != want {
+		t.Fatalf("%d slab slots in use, want %d", got, want)
 	}
 }
 
@@ -473,8 +492,8 @@ func FuzzLLCMatchesReference(f *testing.F) {
 	})
 }
 
-// On a full LLC, eviction, dirtying, probing and evict/re-insert touch no
-// Go heap.
+// On a full LLC, eviction, dirtying (with and without store data),
+// probing and evict/re-insert touch no Go heap.
 func TestLLCZeroAlloc(t *testing.T) {
 	c := small(1024)
 	next := int64(0)
@@ -482,8 +501,9 @@ func TestLLCZeroAlloc(t *testing.T) {
 		next += mem.CacheLine
 		return next
 	}
+	payload := bytes.Repeat([]byte{0x5A}, 24)
 	for c.Len() < 1024 {
-		c.Insert(fresh())
+		c.MarkDirty(fresh(), 8, payload) // every line holds an overlay slot
 	}
 	for _, tc := range []struct {
 		name string
@@ -491,6 +511,7 @@ func TestLLCZeroAlloc(t *testing.T) {
 	}{
 		{"insert-evict", func() { c.Insert(fresh()) }},
 		{"mark-dirty", func() { c.MarkDirty(fresh(), 0, nil) }},
+		{"mark-dirty-data", func() { c.MarkDirty(fresh(), 8, payload) }},
 		{"present", func() { c.Present(next) }},
 		{"evict-reinsert", func() { c.Evict(next); c.Insert(next) }},
 	} {

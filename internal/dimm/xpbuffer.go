@@ -1,27 +1,45 @@
 package dimm
 
-import "optanestudy/internal/sim"
+import (
+	"math/bits"
 
-// xpEntry is one 256 B XPLine slot in the XPBuffer.
-type xpEntry struct {
-	line  int64
-	dirty uint8 // bitmask of dirty 64 B chunks
-	valid bool  // line contents were fetched from media (no RMW needed)
+	"optanestudy/internal/sim"
+)
 
-	prev, next *xpEntry // LRU list links
+// xpSlot is one 256 B XPLine slot in the XPBuffer.
+type xpSlot struct {
+	line       int64
+	prev, next int32 // recency-list neighbours (-1 at the ends); next also chains free slots
+	dirty      uint8 // bitmask of dirty 64 B chunks
+	valid      bool  // line contents were fetched from media (no RMW needed)
 }
 
-// xpBuffer is the XPController's combining buffer: an LRU-ordered set of
-// XPLine entries plus a FIFO of slots occupied by in-flight media
+// xpList is a recency list of slots, linked through their prev and next
+// fields: head is the most recently used, tail the least; -1 when empty.
+type xpList struct{ head, tail int32 }
+
+// xpBuffer is the XPController's combining buffer: a fixed array of
+// XPLine slots plus a FIFO of slots occupied by in-flight media
 // writebacks. live + inflight never exceeds the configured capacity, which
 // is what throttles WPQ drain when the media falls behind.
+//
+// Live slots sit on one of two recency lists, clean (no dirty chunk) and
+// dirty; a slot only ever moves from clean to dirty, and is made the
+// dirty list's head when it does, so each list is the buffer's recency
+// order restricted to its slots and every victim query is a list tail.
+// An open-addressed table in the LLC's style (Fibonacci hashing, linear
+// probing, backward-shift deletion) maps a line to its slot. Both arrays
+// are allocated on the first insert: most of a platform's DIMMs are never
+// touched.
 type xpBuffer struct {
-	cap       int
-	entries   map[int64]*xpEntry
-	head      *xpEntry // most recently used
-	tail      *xpEntry // least recently used
-	liveCount int
-	free      *xpEntry // recycled entries, chained through next
+	cap   int
+	slots []xpSlot
+	index []int32 // slot+1 of the line hashed to this position; 0 = empty
+	shift uint    // 64 - log2(len(index))
+	free  int32   // first free slot, chained through next; -1 = none
+
+	clean, dirty xpList
+	liveCount    int
 
 	inflight sim.Queue[sim.Time] // media write-back completion times, FIFO
 }
@@ -31,98 +49,155 @@ func (b *xpBuffer) init(capacity int) {
 		capacity = 2
 	}
 	b.cap = capacity
-	b.entries = make(map[int64]*xpEntry, capacity)
+	b.clean = xpList{-1, -1}
+	b.dirty = xpList{-1, -1}
 }
 
-func (b *xpBuffer) lookup(line int64) *xpEntry { return b.entries[line] }
-
-// touch moves e to the MRU position.
-func (b *xpBuffer) touch(e *xpEntry) {
-	if b.head == e {
-		return
+// alloc builds the slot array, every slot free, and an index with at
+// least twice as many positions as slots.
+func (b *xpBuffer) alloc() {
+	b.slots = make([]xpSlot, b.cap)
+	for i := range b.slots {
+		b.slots[i].next = int32(i + 1)
 	}
-	b.unlink(e)
-	b.pushFront(e)
+	b.slots[b.cap-1].next = -1
+	n := 1 << bits.Len(uint(2*b.cap-1))
+	b.index = make([]int32, n)
+	b.shift = uint(64 - bits.TrailingZeros(uint(n)))
 }
 
-func (b *xpBuffer) pushFront(e *xpEntry) {
-	e.prev = nil
-	e.next = b.head
-	if b.head != nil {
-		b.head.prev = e
+// home is line's preferred index position.
+func (b *xpBuffer) home(line int64) int {
+	return int(uint64(line>>8) * 0x9E3779B97F4A7C15 >> b.shift)
+}
+
+// find returns the index position holding line, or the empty position
+// that ends its probe chain with ok=false (-1 before the first insert).
+func (b *xpBuffer) find(line int64) (pos int, ok bool) {
+	if len(b.index) == 0 {
+		return -1, false
 	}
-	b.head = e
-	if b.tail == nil {
-		b.tail = e
+	m := len(b.index) - 1
+	for i := b.home(line); ; i = (i + 1) & m {
+		s := b.index[i]
+		if s == 0 {
+			return i, false
+		}
+		if b.slots[s-1].line == line {
+			return i, true
+		}
 	}
 }
 
-func (b *xpBuffer) unlink(e *xpEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// lookup returns line's slot, or -1 if the line is not buffered.
+func (b *xpBuffer) lookup(line int64) int32 {
+	if pos, ok := b.find(line); ok {
+		return b.index[pos] - 1
+	}
+	return -1
+}
+
+// listOf returns the recency list slot s belongs on.
+func (b *xpBuffer) listOf(s int32) *xpList {
+	if b.slots[s].dirty != 0 {
+		return &b.dirty
+	}
+	return &b.clean
+}
+
+func (b *xpBuffer) pushFront(l *xpList, s int32) {
+	e := &b.slots[s]
+	e.prev, e.next = -1, l.head
+	if l.head >= 0 {
+		b.slots[l.head].prev = s
 	} else {
-		b.head = e.next
+		l.tail = s
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		b.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	l.head = s
 }
 
-// insert adds a fresh entry at MRU, recycling a removed entry when one is
-// available so steady-state buffer churn (the log workloads' insert/evict
-// treadmill over ever-new XPLine addresses) allocates nothing. The caller
-// must have ensured space.
-func (b *xpBuffer) insert(line int64) *xpEntry {
-	e := b.free
-	if e != nil {
-		b.free = e.next
-		*e = xpEntry{line: line}
+func (b *xpBuffer) unlink(l *xpList, s int32) {
+	e := &b.slots[s]
+	if e.prev >= 0 {
+		b.slots[e.prev].next = e.next
 	} else {
-		e = &xpEntry{line: line}
+		l.head = e.next
 	}
-	b.entries[line] = e
-	b.pushFront(e)
+	if e.next >= 0 {
+		b.slots[e.next].prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+}
+
+// touch makes s the most recently used slot of its list.
+func (b *xpBuffer) touch(s int32) {
+	if l := b.listOf(s); l.head != s {
+		b.unlink(l, s)
+		b.pushFront(l, s)
+	}
+}
+
+// write marks chunk dirty in slot s and makes s the most recently used
+// dirty slot.
+func (b *xpBuffer) write(s int32, chunk uint8) {
+	b.unlink(b.listOf(s), s)
+	b.slots[s].dirty |= chunk
+	b.pushFront(&b.dirty, s)
+}
+
+// insert places line, clean, in a free slot at the head of the clean
+// list and returns the slot. The caller must have ensured space.
+func (b *xpBuffer) insert(line int64) int32 {
+	if b.slots == nil {
+		b.alloc()
+	}
+	s := b.free
+	b.free = b.slots[s].next
+	b.slots[s] = xpSlot{line: line}
+	pos, _ := b.find(line)
+	b.index[pos] = s + 1
+	b.pushFront(&b.clean, s)
 	b.liveCount++
-	return e
+	return s
 }
 
-// remove deletes e from the live set (slot accounting is the caller's job:
-// dirty evictions must be pushed onto inflight) and parks it on
-// the free list. Callers may still read e's fields until the next insert,
-// which is when the slot is reused.
-func (b *xpBuffer) remove(e *xpEntry) {
-	delete(b.entries, e.line)
-	b.unlink(e)
+// remove deletes slot s from the live set and frees it (slot accounting
+// is the caller's job: dirty evictions must be pushed onto inflight).
+func (b *xpBuffer) remove(s int32) {
+	pos, _ := b.find(b.slots[s].line)
+	b.unindex(pos)
+	b.unlink(b.listOf(s), s)
+	b.slots[s].next, b.free = b.free, s
 	b.liveCount--
-	e.next, b.free = b.free, e
 }
 
-// lru returns the least-recently-used live entry.
-func (b *xpBuffer) lru() *xpEntry { return b.tail }
-
-// lruClean returns the least-recently-used entry with no dirty data, or nil.
-func (b *xpBuffer) lruClean() *xpEntry {
-	for e := b.tail; e != nil; e = e.prev {
-		if e.dirty == 0 {
-			return e
+// unindex empties index position pos by backward-shift deletion: each
+// later entry of the probe chain whose home lies at or before the hole
+// moves into it, so every chain stays gap-free without tombstones.
+func (b *xpBuffer) unindex(pos int) {
+	m := len(b.index) - 1
+	hole := pos
+	for j := (hole + 1) & m; b.index[j] != 0; j = (j + 1) & m {
+		s := b.index[j]
+		if h := b.home(b.slots[s-1].line); (j-h)&m >= (j-hole)&m {
+			b.index[hole] = s
+			hole = j
 		}
 	}
-	return nil
+	b.index[hole] = 0
 }
 
-// lruPartial returns the least-recently-used entry that holds a partially
-// dirty line other than `except`, or nil.
-func (b *xpBuffer) lruPartial(except int64) *xpEntry {
-	for e := b.tail; e != nil; e = e.prev {
-		if e.line != except && e.dirty != 0 && e.dirty != 0xF {
-			return e
-		}
-	}
-	return nil
-}
+// lruClean returns the least-recently-used clean slot, or -1.
+func (b *xpBuffer) lruClean() int32 { return b.clean.tail }
+
+// lruDirty returns the least-recently-used dirty slot, or -1. Every dirty
+// slot is partially dirty, because a line whose four chunks are all
+// dirty is written back at once (XPDIMM.maybeComplete). So this is both
+// the least-recently-used partial line an early close picks (the writing
+// line has just missed, so it is not among them) and, when the clean
+// list is empty, the least-recently-used slot of all.
+func (b *xpBuffer) lruDirty() int32 { return b.dirty.tail }
 
 // full reports whether no slot is available at time t, after freeing the
 // slots of write-backs completed by t. Completion times are nondecreasing

@@ -1,6 +1,8 @@
 package dimm
 
 import (
+	"math/bits"
+
 	"optanestudy/internal/mem"
 	"optanestudy/internal/sim"
 )
@@ -109,9 +111,9 @@ func (d *XPDIMM) mediaWrite(t sim.Time, line int64, useful int, rmw bool) sim.Ti
 func (d *XPDIMM) ReadLine(t sim.Time, addr int64) sim.Time {
 	d.counters.CtrlReadBytes += mem.CacheLine
 	line := mem.XPLineAddr(addr)
-	if e := d.buf.lookup(line); e != nil {
+	if s := d.buf.lookup(line); s >= 0 {
 		d.counters.BufferHits++
-		d.buf.touch(e)
+		d.buf.touch(s)
 		return t + d.cfg.CtrlTime
 	}
 	d.counters.BufferMisses++
@@ -119,23 +121,23 @@ func (d *XPDIMM) ReadLine(t sim.Time, addr int64) sim.Time {
 	// Cache the fetched XPLine if a slot is free (possibly by dropping a
 	// clean victim); when the buffer is saturated with write-backs the
 	// read bypasses it (read-around) rather than stalling behind writes.
-	if e, ok := d.tryAllocate(t, line); ok {
-		e.valid = true
+	if s := d.tryAllocate(t, line); s >= 0 {
+		d.buf.slots[s].valid = true
 	}
 	return done + d.cfg.CtrlTime
 }
 
-// tryAllocate claims a slot without waiting: it succeeds if a slot is free
-// or a clean victim can be dropped.
-func (d *XPDIMM) tryAllocate(t sim.Time, line int64) (*xpEntry, bool) {
+// tryAllocate claims a slot without waiting, or returns -1: it succeeds
+// if a slot is free or a clean victim can be dropped.
+func (d *XPDIMM) tryAllocate(t sim.Time, line int64) int32 {
 	if d.buf.full(t) {
 		v := d.buf.lruClean()
-		if v == nil {
-			return nil, false
+		if v < 0 {
+			return -1
 		}
 		d.buf.remove(v)
 	}
-	return d.buf.insert(line), true
+	return d.buf.insert(line)
 }
 
 // WriteLine implements DIMM. Returns when the 64 B chunk has been ingested
@@ -146,11 +148,10 @@ func (d *XPDIMM) WriteLine(t sim.Time, addr int64) sim.Time {
 	line := mem.XPLineAddr(addr)
 	chunk := uint8(1) << uint((addr-line)/mem.CacheLine)
 
-	if e := d.buf.lookup(line); e != nil {
+	if s := d.buf.lookup(line); s >= 0 {
 		d.counters.BufferHits++
-		e.dirty |= chunk
-		d.buf.touch(e)
-		d.maybeComplete(t, e)
+		d.buf.write(s, chunk)
+		d.maybeComplete(t, s)
 		return t + d.cfg.IngestTime
 	}
 	d.counters.BufferMisses++
@@ -162,57 +163,58 @@ func (d *XPDIMM) WriteLine(t sim.Time, addr int64) sim.Time {
 	if over := active - d.cfg.StreamEngines; over > 0 {
 		p := d.cfg.StreamPressure * float64(over) / float64(active)
 		if d.rng.Bool(p) {
-			if v := d.buf.lruPartial(line); v != nil {
+			if v := d.buf.lruDirty(); v >= 0 {
 				d.counters.EarlyCloses++
 				d.evict(t, v)
 			}
 		}
 	}
 
-	e, ready := d.allocate(t, line)
-	e.dirty |= chunk
-	d.maybeComplete(ready, e)
+	s, ready := d.allocate(t, line)
+	d.buf.write(s, chunk)
+	d.maybeComplete(ready, s)
 	return ready + d.cfg.IngestTime
 }
 
 // maybeComplete eagerly writes back a line whose four chunks are all dirty:
 // a fully-assembled XPLine streams straight to media, keeping sequential
 // EWR at 1.0.
-func (d *XPDIMM) maybeComplete(t sim.Time, e *xpEntry) {
-	if e.dirty == 0xF {
-		d.evict(t, e)
+func (d *XPDIMM) maybeComplete(t sim.Time, s int32) {
+	if d.buf.slots[s].dirty == 0xF {
+		d.evict(t, s)
 	}
 }
 
-// evict removes e from the live set. Dirty contents are written to media
-// (RMW if partial and the line's old contents are not buffered); the slot
-// stays occupied until the media write completes. Clean entries free
+// evict removes slot s from the live set. Dirty contents are written to
+// media (RMW if partial and the line's old contents are not buffered); the
+// slot stays occupied until the media write completes. Clean entries free
 // immediately.
-func (d *XPDIMM) evict(t sim.Time, e *xpEntry) {
-	d.buf.remove(e)
+func (d *XPDIMM) evict(t sim.Time, s int32) {
+	e := d.buf.slots[s]
+	d.buf.remove(s)
 	if e.dirty == 0 {
 		return
 	}
-	useful := popcount4(e.dirty) * mem.CacheLine
+	useful := bits.OnesCount8(e.dirty) * mem.CacheLine
 	rmw := e.dirty != 0xF && !e.valid
 	end := d.mediaWrite(t, e.line, useful, rmw)
 	d.buf.inflight.Push(end)
 }
 
 // allocate obtains a buffer slot for line, evicting and waiting as
-// necessary. It returns the new entry and the time it became available.
+// necessary. It returns the new slot and the time it became available.
 //
 // Victim policy: drop the LRU clean entry if one exists (free); otherwise
 // wait for an in-flight media writeback to release its slot rather than
 // splitting a partially-combined line; only when the buffer is entirely
 // dirty partial lines with nothing in flight — genuine capacity pressure,
 // the Figure 10 regime — is the LRU dirty line force-evicted.
-func (d *XPDIMM) allocate(t sim.Time, line int64) (*xpEntry, sim.Time) {
+func (d *XPDIMM) allocate(t sim.Time, line int64) (int32, sim.Time) {
 	if d.buf.full(t) {
-		if v := d.buf.lruClean(); v != nil {
+		if v := d.buf.lruClean(); v >= 0 {
 			d.buf.remove(v)
 		} else if d.buf.inflight.Len() == 0 {
-			if v := d.buf.lru(); v != nil {
+			if v := d.buf.lruDirty(); v >= 0 {
 				d.evict(t, v)
 			}
 		}
@@ -227,14 +229,4 @@ func (d *XPDIMM) allocate(t sim.Time, line int64) (*xpEntry, sim.Time) {
 		}
 	}
 	return d.buf.insert(line), t
-}
-
-func popcount4(m uint8) int {
-	n := 0
-	for i := uint(0); i < 4; i++ {
-		if m&(1<<i) != 0 {
-			n++
-		}
-	}
-	return n
 }

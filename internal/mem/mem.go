@@ -44,20 +44,33 @@ func XPLinesIn(addr int64, size int) int {
 // DataStore is a sparse byte store over a 64-bit address space, allocating
 // 4 KB pages on demand. It holds the durable contents of simulated memory.
 // The zero value is ready to use.
+//
+// The last page found is memoized in front of the page map: accesses run
+// in lines and pages, so most find their page there. Pages are never
+// removed, so the memo cannot go stale.
 type DataStore struct {
-	pages map[int64]*[Page]byte
+	pages    map[int64]*[Page]byte
+	last     *[Page]byte // the page at lastBase, or nil
+	lastBase int64
 }
 
 func (d *DataStore) page(addr int64, alloc bool) *[Page]byte {
 	base := PageAddr(addr)
+	if d.last != nil && base == d.lastBase {
+		return d.last
+	}
 	p := d.pages[base]
-	if p == nil && alloc {
+	if p == nil {
+		if !alloc {
+			return nil
+		}
 		if d.pages == nil {
 			d.pages = make(map[int64]*[Page]byte)
 		}
 		p = new([Page]byte)
 		d.pages[base] = p
 	}
+	d.last, d.lastBase = p, base
 	return p
 }
 
@@ -83,9 +96,7 @@ func (d *DataStore) Read(addr int64, buf []byte) {
 		if p := d.page(addr, false); p != nil {
 			copy(buf[:n], p[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		addr += int64(n)

@@ -132,3 +132,51 @@ func TestDataStoreQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Interleaved writes, reads and zeroings across pages agree with a
+// byte-map model, reads of pages never written included, however the
+// last-page memo is left by the previous access.
+func TestDataStoreMatchesByteModel(t *testing.T) {
+	r := sim.NewRNG(7)
+	var d DataStore
+	shadow := make(map[int64]byte)
+	pages := make(map[int64]bool)
+	// Five pages: four neighbours and one far away.
+	addrOf := func() int64 {
+		p := int64(r.Intn(5))
+		if p == 4 {
+			p = 1 << 30
+		}
+		return p*Page + r.Int63n(Page)
+	}
+	buf := make([]byte, 2*Page)
+	for i := 0; i < 5000; i++ {
+		addr, n := addrOf(), 1+r.Intn(Page+100)
+		switch r.Intn(3) {
+		case 0:
+			data := buf[:n]
+			for j := range data {
+				data[j] = byte(r.Uint64())
+				shadow[addr+int64(j)] = data[j]
+				pages[PageAddr(addr+int64(j))] = true
+			}
+			d.Write(addr, data)
+		case 1:
+			d.Zero(addr, n)
+			for j := int64(0); j < int64(n); j++ {
+				shadow[addr+j] = 0
+				pages[PageAddr(addr+j)] = true
+			}
+		case 2:
+			d.Read(addr, buf[:n])
+			for j := 0; j < n; j++ {
+				if buf[j] != shadow[addr+int64(j)] {
+					t.Fatalf("op %d: byte %#x reads %d, want %d", i, addr+int64(j), buf[j], shadow[addr+int64(j)])
+				}
+			}
+		}
+		if d.Pages() != len(pages) {
+			t.Fatalf("op %d: %d pages, want %d", i, d.Pages(), len(pages))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math/bits"
 
 	"optanestudy/internal/cache"
 	"optanestudy/internal/dimm"
@@ -481,17 +482,11 @@ func (c *MemCtx) persistMasked(lineAddr int64, data []byte, mask uint64) {
 }
 
 // persistMaskedTo writes only the mask-covered bytes of a 64 B line into
-// the durable store.
+// the durable store, one run of set mask bits at a time.
 func persistMaskedTo(store *mem.DataStore, lineAddr int64, data []byte, mask uint64) {
-	for i := 0; i < mem.CacheLine; {
-		if mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.CacheLine && mask&(1<<uint(j)) != 0 {
-			j++
-		}
+	for i := 0; mask>>i != 0; {
+		i += bits.TrailingZeros64(mask >> i)        // the run's first byte
+		j := i + bits.TrailingZeros64(^(mask >> i)) // one past its last
 		store.Write(lineAddr+int64(i), data[i:j])
 		i = j
 	}

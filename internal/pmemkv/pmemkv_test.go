@@ -175,7 +175,11 @@ func TestCMapConcurrentWriters(t *testing.T) {
 // An insert builds its entry in the buffer an earlier Put gave back. What
 // it still allocates is the LLC's data overlay for its two cached metadata
 // stores (the block header and the bucket link), not an entry buffer.
-func TestCMapInsertReusesEntryBuffer(t *testing.T) {
+// Once warm, a Put allocates nothing: an insert builds its entry in a
+// buffer an earlier Put gave back, a same-size update reads the old value
+// into the undo log through a stack buffer, and the LLC keeps the dirtied
+// lines' bytes in its slab.
+func TestCMapPutAllocatesNothing(t *testing.T) {
 	p, _, m := newStore(t, 1024)
 	key, val := []byte("key-0000"), make([]byte, 100)
 	n := 0
@@ -186,10 +190,20 @@ func TestCMapInsertReusesEntryBuffer(t *testing.T) {
 			t.Error(err)
 		}
 	}
+	update := func(ctx *platform.MemCtx) {
+		val[0]++
+		if err := m.Put(ctx, key, val); err != nil {
+			t.Error(err)
+		}
+	}
 	p.Go("t", 0, func(ctx *platform.MemCtx) {
 		insert(ctx)
-		if avg := testing.AllocsPerRun(200, func() { insert(ctx) }); avg > 2 {
-			t.Errorf("an insert allocates %.1f objects, want at most 2 (3 with a fresh entry buffer)", avg)
+		update(ctx)
+		if avg := testing.AllocsPerRun(200, func() { insert(ctx) }); avg != 0 {
+			t.Errorf("an insert allocates %.1f objects, want 0", avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() { update(ctx) }); avg != 0 {
+			t.Errorf("a same-size update allocates %.1f objects, want 0", avg)
 		}
 	})
 	p.Run()

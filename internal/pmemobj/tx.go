@@ -67,9 +67,11 @@ func (t *Tx) logEntry(off int64, n int) error {
 	if t.logTail+need > logOffset+logSize {
 		return errors.New("pmemobj: transaction log full")
 	}
-	old := make([]byte, n)
+	// Read the old bytes through a stack buffer, as pmemkv's chain probe
+	// does: small in-place updates then allocate nothing.
+	var buf [256]byte
 	p := t.pool
-	p.reg.LoadInto(t.ctx, off, old)
+	old := p.reg.LoadFit(t.ctx, off, n, buf[:])
 
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(off))

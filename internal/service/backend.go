@@ -75,9 +75,7 @@ func ValFor(id int64, size int) []byte {
 // counterpart of KeyInto.
 func ValInto(v []byte, id int64) {
 	binary.LittleEndian.PutUint64(v, uint64(id)*2654435761+1)
-	for i := 8; i < len(v); i++ {
-		v[i] = 0
-	}
+	clear(v[8:])
 }
 
 // BackendSpec configures a preloaded backend.

@@ -120,8 +120,8 @@ func (h *dispatchHarness) step(ctx *platform.MemCtx) error {
 // key and value rendering, backend reads, group-commit journaling, latency
 // recording — must not allocate. Warmup lets every amortized structure
 // (queue rings, the appender's staging mirror, histogram buckets, load
-// windows, the XPBuffer's entry pool, the write-combining buffer's line
-// slice) reach its high-water mark; after that, a dispatched op that
+// windows, the XPBuffer's slot arrays, the LLC's overlay slab, the
+// write-combining buffer's line slice) reach its high-water mark; after that, a dispatched op that
 // touches the Go heap is a regression. Depth 1 runs each logged PUT as an
 // unbatched Append whose unaligned record goes through the write-combining
 // buffer; depth 8 is a group commit.
@@ -131,17 +131,21 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	// evicting and installing slots. lsmkv pins DB.GetInto (memtable probe
 	// + SST binary search into the per-DB scratch). pmemkv-scan adds
 	// emulated scans, each 16 point lookups rendered into the worker's key.
+	// pmemkv-put has no PutLog, so its PUTs are in-place backend updates
+	// (undo-logged transactions), as in serve-read.
 	variants := []struct {
 		name    string
 		backend string
 		cache   int64
 		scans   bool
+		noLog   bool
 	}{
-		{"pmemkv", "pmemkv", 0, false},
-		{"cached-hit", "pmemkv", 400 * 128, false},
-		{"miss-fill", "pmemkv", 100 * 128, false},
-		{"lsmkv-getinto", "lsmkv", 0, false},
-		{"pmemkv-scan", "pmemkv", 0, true},
+		{"pmemkv", "pmemkv", 0, false, false},
+		{"cached-hit", "pmemkv", 400 * 128, false, false},
+		{"miss-fill", "pmemkv", 100 * 128, false, false},
+		{"lsmkv-getinto", "lsmkv", 0, false, false},
+		{"pmemkv-scan", "pmemkv", 0, true, false},
+		{"pmemkv-put", "pmemkv", 0, false, true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -149,6 +153,9 @@ func TestDispatchZeroAlloc(t *testing.T) {
 				t.Run(fmt.Sprintf("batch=%d", depth), func(t *testing.T) {
 					h := newDispatchHarnessOpts(t, depth, v.backend, v.cache)
 					h.scans = v.scans
+					if v.noLog {
+						h.shard.PutLog = nil
+					}
 					var avg float64
 					var stepErr error
 					h.p.Go("dispatch", 0, func(ctx *platform.MemCtx) {

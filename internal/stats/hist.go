@@ -17,36 +17,43 @@ import (
 // Bucketing: values are grouped by (exponent, 1/64 mantissa slice), giving a
 // worst-case relative error of ~1.6% per bucket — plenty for p99.999 work.
 // Exact minimum and maximum are tracked separately.
+//
+// The counts sit in one dense slice from the lowest bucket seen to the
+// highest, which grows as samples arrive outside it, plus a separate count
+// for the bucket of values ≤ 0 (NaN and +Inf land there too).
 type Histogram struct {
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	buckets map[int32]int64
+	count  int64
+	sum    float64
+	min    float64
+	max    float64
+	zero   int64   // samples in zeroBucket
+	lo     int32   // bucket of counts[0]
+	counts []int64 // counts[i] is the sample count of bucket lo+i
 }
 
 const histSubBits = 6 // 64 sub-buckets per power of two
 
+// zeroBucket holds every sample ≤ 0, NaN and +Inf; it sorts below every
+// other bucket and its lower bound is 0.
+const zeroBucket = math.MinInt32
+
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{min: math.Inf(1), max: math.Inf(-1), buckets: make(map[int32]int64)}
+	return &Histogram{min: math.Inf(1), max: math.Inf(-1)}
 }
 
+// bucketOf returns v's bucket: its binary exponent, then the top
+// histSubBits bits of its mantissa.
 func bucketOf(v float64) int32 {
-	if v <= 0 {
-		return math.MinInt32
+	if !(v > 0 && v <= math.MaxFloat64) {
+		return zeroBucket
 	}
-	exp := math.Floor(math.Log2(v))
-	frac := v/math.Exp2(exp) - 1 // in [0, 1)
-	sub := int32(frac * (1 << histSubBits))
-	if sub >= 1<<histSubBits {
-		sub = 1<<histSubBits - 1
-	}
-	return int32(exp)<<histSubBits + sub
+	frac, exp := math.Frexp(v) // v = frac × 2^exp, frac in [0.5, 1)
+	return int32(exp-1)<<histSubBits + int32((2*frac-1)*(1<<histSubBits))
 }
 
 func bucketLow(b int32) float64 {
-	if b == math.MinInt32 {
+	if b == zeroBucket {
 		return 0
 	}
 	exp := b >> histSubBits
@@ -64,7 +71,32 @@ func (h *Histogram) Add(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.buckets[bucketOf(v)]++
+	b := bucketOf(v)
+	if b == zeroBucket {
+		h.zero++
+		return
+	}
+	i := int(b - h.lo)
+	if uint(i) >= uint(len(h.counts)) {
+		i = h.slot(b)
+	}
+	h.counts[i]++
+}
+
+// slot returns bucket b's position in counts, widening the dense range to
+// take it.
+func (h *Histogram) slot(b int32) int {
+	switch {
+	case len(h.counts) == 0:
+		h.counts, h.lo = append(h.counts, 0), b
+	case b < h.lo:
+		grown := make([]int64, int(h.lo-b)+len(h.counts))
+		copy(grown[h.lo-b:], h.counts)
+		h.counts, h.lo = grown, b
+	case int(b-h.lo) >= len(h.counts):
+		h.counts = append(h.counts, make([]int64, int(b-h.lo)+1-len(h.counts))...)
+	}
+	return int(b - h.lo)
 }
 
 // Count returns the number of samples.
@@ -116,13 +148,9 @@ func (h *Histogram) Quantiles(qs []float64) []float64 {
 	}
 	sort.Slice(order, func(i, j int) bool { return qs[order[i]] < qs[order[j]] })
 
-	keys := make([]int32, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	ki, next := 0, 0
+	// Walk the buckets in order: zeroBucket, then the dense range. next
+	// is the bucket whose count took seen to the last rank.
+	ki, next := -1, int32(zeroBucket)
 	var seen int64
 	for _, oi := range order {
 		q := qs[oi]
@@ -135,16 +163,20 @@ func (h *Histogram) Quantiles(qs []float64) []float64 {
 			continue
 		}
 		rank := int64(math.Ceil(q * float64(h.count)))
-		for seen < rank && ki < len(keys) {
-			seen += h.buckets[keys[ki]]
-			next = ki
+		for seen < rank && ki < len(h.counts) {
+			if ki < 0 {
+				seen += h.zero
+			} else {
+				seen += h.counts[ki]
+				next = h.lo + int32(ki)
+			}
 			ki++
 		}
 		if seen < rank {
 			out[oi] = h.max
 			continue
 		}
-		v := bucketLow(keys[next])
+		v := bucketLow(next)
 		if v < h.min {
 			v = h.min
 		}
@@ -169,8 +201,14 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-	for k, c := range other.buckets {
-		h.buckets[k] += c
+	h.zero += other.zero
+	if n := len(other.counts); n > 0 {
+		h.slot(other.lo)
+		h.slot(other.lo + int32(n) - 1)
+		off := int(other.lo - h.lo)
+		for i, c := range other.counts {
+			h.counts[off+i] += c
+		}
 	}
 }
 
