@@ -25,7 +25,8 @@ type DRAMConfig struct {
 }
 
 // DefaultDRAMConfig returns timings calibrated to the paper's Figure 2
-// (81 ns sequential / 101 ns random loads on the assembled platform).
+// idle loads on the assembled platform (lattester.Catalog's
+// dram_seq_read_ns and dram_rand_read_ns).
 func DefaultDRAMConfig() DRAMConfig {
 	return DRAMConfig{
 		RowHit:    21 * sim.Nanosecond,

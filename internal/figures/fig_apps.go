@@ -51,23 +51,18 @@ func Fig8(q Quality) []stats.Figure {
 		ID: "fig8-dram", Title: "RocksDB SET on DRAM-emulated PM",
 		XLabel: "mode (0=WAL-POSIX 1=WAL-FLEX 2=persistent-skiplist)",
 		YLabel: "throughput (KOps/s)",
-		Series: []stats.Series{{Name: "DRAM"}},
 	}
 	opt := stats.Figure{
 		ID: "fig8-optane", Title: "RocksDB SET on 3D XPoint",
 		XLabel: "mode (0=WAL-POSIX 1=WAL-FLEX 2=persistent-skiplist)",
 		YLabel: "throughput (KOps/s)",
-		Series: []stats.Series{{Name: "3DXP"}},
 	}
-	var specs []harness.Spec
-	for _, m := range modes {
-		specs = append(specs, spec(true, m), spec(false, m))
+	var b batch
+	for i, m := range modes {
+		b.plot(&dram, "DRAM", spec(true, m), metric("kops_per_sec", float64(i)))
+		b.plot(&opt, "3DXP", spec(false, m), metric("kops_per_sec", float64(i)))
 	}
-	trs := trials(specs)
-	for i := range modes {
-		dram.Series[0].Add(float64(i), trs[2*i].Metrics["kops_per_sec"])
-		opt.Series[0].Add(float64(i), trs[2*i+1].Metrics["kops_per_sec"])
-	}
+	b.run()
 	return []stats.Figure{dram, opt}
 }
 
@@ -233,35 +228,25 @@ func Fig17(q Quality) []stats.Figure {
 		{"I,async", false, false},
 		{"NI,async", true, false},
 	}
-	var specs []harness.Spec
-	for _, conf := range confs {
-		for _, pat := range []string{"seq", "rand"} {
-			for _, rw := range []string{"read", "write"} {
-				specs = append(specs, harness.Spec{
-					Scenario: "fio/" + pat + "-" + rw,
-					Params: map[string]string{
-						"pinned": strconv.FormatBool(conf.pinned),
-						"sync":   strconv.FormatBool(conf.sync),
-					},
-					Threads: threads,
-					Ops:     ops,
-				})
-			}
+	fio := func(scenario string, pinned, sync bool) harness.Spec {
+		return harness.Spec{
+			Scenario: "fio/" + scenario,
+			Params: map[string]string{
+				"pinned": strconv.FormatBool(pinned),
+				"sync":   strconv.FormatBool(sync),
+			},
+			Threads: threads,
+			Ops:     ops,
 		}
 	}
-	trs := trials(specs)
-	k := 0
+	var b batch
 	for _, conf := range confs {
-		rs := stats.Series{Name: conf.name}
-		ws := stats.Series{Name: conf.name}
-		for patIdx := range []string{"seq", "rand"} {
-			rs.Add(float64(patIdx), trs[k].GBs)
-			ws.Add(float64(patIdx), trs[k+1].GBs)
-			k += 2
+		for i, pat := range []string{"seq", "rand"} {
+			b.plot(&read, conf.name, fio(pat+"-read", conf.pinned, conf.sync), gbs(float64(i)))
+			b.plot(&write, conf.name, fio(pat+"-write", conf.pinned, conf.sync), gbs(float64(i)))
 		}
-		read.Series = append(read.Series, rs)
-		write.Series = append(write.Series, ws)
 	}
+	b.run()
 	return []stats.Figure{read, write}
 }
 
@@ -288,31 +273,23 @@ func Fig19(q Quality) []stats.Figure {
 		{"Optane", false, 0},
 		{"Optane-Remote", false, 1},
 	}
-	var specs []harness.Spec
+	var b batch
 	for _, conf := range confs {
 		media := "optane"
 		if conf.dram {
 			media = "dram"
 		}
 		for _, th := range threadCounts {
-			specs = append(specs, harness.Spec{
+			spec := harness.Spec{
 				Scenario: "pmemkv/overwrite",
 				Params:   map[string]string{"media": media},
 				Socket:   conf.socket,
 				Threads:  th,
 				Duration: q.dur(300 * sim.Microsecond),
-			})
+			}
+			b.plot(&fig, conf.name, spec, gbs(float64(th)))
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	for _, conf := range confs {
-		s := stats.Series{Name: conf.name}
-		for _, th := range threadCounts {
-			s.Add(float64(th), trs[k].GBs)
-			k++
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	b.run()
 	return []stats.Figure{fig}
 }

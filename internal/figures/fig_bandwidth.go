@@ -33,37 +33,25 @@ func Fig4(q Quality) []stats.Figure {
 		threads = []int{1, 2, 4, 8, 16, 24}
 	}
 	systems := []string{"DRAM", "Optane-NI", "Optane"}
-	var specs []harness.Spec
-	for _, system := range systems {
-		for _, op := range threeOps {
-			for _, th := range threads {
-				spec := kernel(system, op, patSeq, 256)
-				spec.Threads = th
-				spec.Duration = q.dur(200 * sim.Microsecond)
-				specs = append(specs, spec)
-			}
-		}
-	}
-	trs := trials(specs)
-	var out []stats.Figure
-	k := 0
-	for _, system := range systems {
-		fig := stats.Figure{
+	out := make([]stats.Figure, len(systems))
+	var b batch
+	for i, system := range systems {
+		out[i] = stats.Figure{
 			ID:     "fig4-" + system,
 			Title:  fmt.Sprintf("Bandwidth vs thread count (%s)", system),
 			XLabel: "threads",
 			YLabel: "bandwidth (GB/s)",
 		}
 		for _, op := range threeOps {
-			s := stats.Series{Name: opLabel(op)}
 			for _, th := range threads {
-				s.Add(float64(th), trs[k].GBs)
-				k++
+				spec := kernel(system, op, patSeq, 256)
+				spec.Threads = th
+				spec.Duration = q.dur(200 * sim.Microsecond)
+				b.plot(&out[i], opLabel(op), spec, gbs(float64(th)))
 			}
-			fig.Series = append(fig.Series, s)
 		}
-		out = append(out, fig)
 	}
+	b.run()
 	return out
 }
 
@@ -81,39 +69,26 @@ func Fig5(q Quality) []stats.Figure {
 		"Optane":    {16, 4, 12},
 	}
 	systems := []string{"DRAM", "Optane-NI", "Optane"}
-	var specs []harness.Spec
-	for _, system := range systems {
+	out := make([]stats.Figure, len(systems))
+	var b batch
+	for i, system := range systems {
 		tc := bestThreads[system]
-		for i, op := range threeOps {
-			for _, size := range sizes {
-				spec := kernel(system, op, patRand, size)
-				spec.Threads = tc[i]
-				spec.Duration = q.dur(200 * sim.Microsecond)
-				specs = append(specs, spec)
-			}
-		}
-	}
-	trs := trials(specs)
-	var out []stats.Figure
-	k := 0
-	for _, system := range systems {
-		tc := bestThreads[system]
-		fig := stats.Figure{
+		out[i] = stats.Figure{
 			ID:     "fig5-" + system,
 			Title:  fmt.Sprintf("Bandwidth over access size (%s %d/%d/%d)", system, tc[0], tc[1], tc[2]),
 			XLabel: "access size (bytes)",
 			YLabel: "bandwidth (GB/s)",
 		}
-		for _, op := range threeOps {
-			s := stats.Series{Name: opLabel(op)}
+		for j, op := range threeOps {
 			for _, size := range sizes {
-				s.Add(float64(size), trs[k].GBs)
-				k++
+				spec := kernel(system, op, patRand, size)
+				spec.Threads = tc[j]
+				spec.Duration = q.dur(200 * sim.Microsecond)
+				b.plot(&out[i], opLabel(op), spec, gbs(float64(size)))
 			}
-			fig.Series = append(fig.Series, s)
 		}
-		out = append(out, fig)
 	}
+	b.run()
 	return out
 }
 
@@ -163,25 +138,19 @@ func Fig10(q Quality) []stats.Figure {
 		Title:  "XPBuffer capacity probe",
 		XLabel: "region size (bytes)",
 		YLabel: "write amplification",
-		Series: []stats.Series{{Name: "WA"}},
 	}
-	var specs []harness.Spec
+	var b batch
 	for _, region := range regions {
-		lines := region / 256
-		if lines < 1 {
-			lines = 1
-		}
-		specs = append(specs, harness.Spec{
+		spec := harness.Spec{
 			Scenario: "lattester/xpbuffer-probe",
 			Params: map[string]string{
-				"lines":  strconv.FormatInt(lines, 10),
+				"lines":  strconv.FormatInt(max(region/256, 1), 10),
 				"rounds": "3",
 			},
-		})
+		}
+		b.plot(&fig, "WA", spec, metric("wa", float64(region)))
 	}
-	for i, tr := range trials(specs) {
-		fig.Series[0].Add(float64(regions[i]), tr.Metrics["wa"])
-	}
+	b.run()
 	return []stats.Figure{fig}
 }
 
@@ -193,10 +162,16 @@ func Fig13(q Quality) []stats.Figure {
 	if q == Quick {
 		sizes = []int{64, 256, 1 << 10, 4 << 10}
 	}
-	bwOps := []lattester.Op{lattester.OpNTStore, lattester.OpStoreCLWB, lattester.OpStore}
-	latOps := []lattester.Op{lattester.OpNTStore, lattester.OpStoreCLWB}
-	var specs []harness.Spec
-	for _, op := range bwOps {
+	bw := stats.Figure{
+		ID: "fig13-bw", Title: "Bandwidth (6 threads, sequential)",
+		XLabel: "access size (bytes)", YLabel: "bandwidth (GB/s)",
+	}
+	lat := stats.Figure{
+		ID: "fig13-lat", Title: "Latency of persistence instructions",
+		XLabel: "access size (bytes)", YLabel: "latency (ns)",
+	}
+	var b batch
+	for _, op := range []lattester.Op{lattester.OpNTStore, lattester.OpStoreCLWB, lattester.OpStore} {
 		for _, size := range sizes {
 			spec := kernel("Optane", op, patSeq, size)
 			spec.Threads = 6
@@ -204,44 +179,19 @@ func Fig13(q Quality) []stats.Figure {
 			if op == lattester.OpStoreCLWB {
 				spec.Params["fence64"] = "true"
 			}
-			specs = append(specs, spec)
+			b.plot(&bw, op.String(), spec, gbs(float64(size)))
 		}
 	}
-	for _, op := range latOps {
+	for _, op := range []lattester.Op{lattester.OpNTStore, lattester.OpStoreCLWB} {
 		for _, size := range sizes {
 			spec := kernel("Optane", op, patSeq, size)
 			spec.Threads = 1
 			spec.Duration = q.dur(100 * sim.Microsecond)
 			spec.Params["latency"] = "true"
-			specs = append(specs, spec)
+			b.plot(&lat, op.String(), spec, meanLatency(float64(size)))
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	bw := stats.Figure{
-		ID: "fig13-bw", Title: "Bandwidth (6 threads, sequential)",
-		XLabel: "access size (bytes)", YLabel: "bandwidth (GB/s)",
-	}
-	for _, op := range bwOps {
-		s := stats.Series{Name: op.String()}
-		for _, size := range sizes {
-			s.Add(float64(size), trs[k].GBs)
-			k++
-		}
-		bw.Series = append(bw.Series, s)
-	}
-	lat := stats.Figure{
-		ID: "fig13-lat", Title: "Latency of persistence instructions",
-		XLabel: "access size (bytes)", YLabel: "latency (ns)",
-	}
-	for _, op := range latOps {
-		s := stats.Series{Name: op.String()}
-		for _, size := range sizes {
-			s.Add(float64(size), trs[k].Latency.Mean())
-			k++
-		}
-		lat.Series = append(lat.Series, s)
-	}
+	b.run()
 	return []stats.Figure{bw, lat}
 }
 
@@ -262,36 +212,25 @@ func Fig14(q Quality) []stats.Figure {
 		{lattester.CLWBAfterWrite.String(), "clwb"},
 		{lattester.NTStoreMode.String(), "ntstore"},
 	}
-	var specs []harness.Spec
+	total := int64(12 << 20)
+	if q == Quick {
+		total = 4 << 20
+	}
+	var b batch
 	for _, mode := range modes {
 		for _, size := range sizes {
-			total := int64(12 << 20)
-			if q == Quick {
-				total = 4 << 20
-			}
-			if total < int64(size)*2 {
-				total = int64(size) * 2
-			}
-			specs = append(specs, harness.Spec{
+			spec := harness.Spec{
 				Scenario: "lattester/sfence-interval",
 				Params: map[string]string{
 					"size":  strconv.Itoa(size),
 					"mode":  mode.param,
-					"total": strconv.FormatInt(total, 10),
+					"total": strconv.FormatInt(max(total, int64(size)*2), 10),
 				},
-			})
+			}
+			b.plot(&fig, mode.label, spec, gbs(float64(size)))
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	for _, mode := range modes {
-		s := stats.Series{Name: mode.label}
-		for _, size := range sizes {
-			s.Add(float64(size), trs[k].GBs)
-			k++
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	b.run()
 	return []stats.Figure{fig}
 }
 
@@ -321,27 +260,15 @@ func Fig16(q Quality) []stats.Figure {
 			Seed:     seed,
 		}
 	}
-	var specs []harness.Spec
+	var b batch
 	for _, n := range spreads {
+		name := fmt.Sprintf("%d Threads", n)
 		for _, size := range sizes {
-			specs = append(specs,
-				spreadSpec(24, n, size, false, 11),
-				spreadSpec(6, n, size, true, 13))
+			b.plot(&read, name, spreadSpec(24, n, size, false, 11), gbs(float64(size)))
+			b.plot(&write, name, spreadSpec(6, n, size, true, 13), gbs(float64(size)))
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	for _, n := range spreads {
-		rs := stats.Series{Name: fmt.Sprintf("%d Threads", n)}
-		ws := stats.Series{Name: fmt.Sprintf("%d Threads", n)}
-		for _, size := range sizes {
-			rs.Add(float64(size), trs[k].GBs)
-			ws.Add(float64(size), trs[k+1].GBs)
-			k += 2
-		}
-		read.Series = append(read.Series, rs)
-		write.Series = append(write.Series, ws)
-	}
+	b.run()
 	return []stats.Figure{read, write}
 }
 
@@ -365,26 +292,17 @@ func Fig18(q Quality) []stats.Figure {
 		{"Optane-4", 0, 4},
 		{"Optane-Remote-4", 1, 4},
 	}
-	var specs []harness.Spec
+	var b batch
 	for _, conf := range confs {
-		for _, m := range mixes {
+		for i, m := range mixes {
 			spec := kernel("Optane", lattester.OpRead, patSeq, 256)
 			spec.Params["mix"] = m
 			spec.Socket = conf.socket
 			spec.Threads = conf.threads
 			spec.Duration = q.dur(150 * sim.Microsecond)
-			specs = append(specs, spec)
+			b.plot(&fig, conf.name, spec, gbs(float64(i)))
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	for _, conf := range confs {
-		s := stats.Series{Name: conf.name}
-		for i := range mixes {
-			s.Add(float64(i), trs[k].GBs)
-			k++
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	b.run()
 	return []stats.Figure{fig}
 }

@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"optanestudy/internal/harness"
 	"optanestudy/internal/lattester"
@@ -33,35 +34,25 @@ func Fig2(q Quality) []stats.Figure {
 		XLabel: "op (0=read-seq 1=read-rand 2=ntstore 3=store+clwb)",
 		YLabel: "idle latency (ns)",
 	}
-	systems := []string{"dram", "optane"}
-	var specs []harness.Spec
-	for _, system := range systems {
-		for _, c := range cases {
-			specs = append(specs, harness.Spec{
+	var b batch
+	for _, name := range []string{"DRAM", "Optane"} {
+		for i, c := range cases {
+			spec := harness.Spec{
 				Scenario: "lattester/idle-latency",
 				Params: map[string]string{
-					"system":  system,
+					"system":  strings.ToLower(name),
 					"op":      c.op.String(),
 					"pattern": c.pat.String(),
 				},
 				Ops: ops,
+			}
+			b.then(spec, func(tr harness.Trial) {
+				add(&fig, name, float64(i), tr.Metrics["mean_ns"])
+				fig.Notes += fmt.Sprintf("%s[%d] std=%.1f ", name, i, tr.Metrics["std_ns"])
 			})
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	notes := ""
-	for _, system := range systems {
-		name := map[string]string{"dram": "DRAM", "optane": "Optane"}[system]
-		s := stats.Series{Name: name}
-		for i := range cases {
-			s.Add(float64(i), trs[k].Metrics["mean_ns"])
-			notes += fmt.Sprintf("%s[%d] std=%.1f ", name, i, trs[k].Metrics["std_ns"])
-			k++
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	fig.Notes = notes
+	b.run()
 	return []stats.Figure{fig}
 }
 
@@ -75,23 +66,21 @@ func Fig3(q Quality) []stats.Figure {
 		Title:  "Tail latency over hotspot size",
 		XLabel: "hotspot (bytes)",
 		YLabel: "latency (us)",
-		Series: []stats.Series{{Name: "99.99%"}, {Name: "99.999%"}, {Name: "Max"}},
 	}
-	specs := make([]harness.Spec, len(hotspots))
-	for i, h := range hotspots {
-		specs[i] = harness.Spec{
+	var b batch
+	for _, h := range hotspots {
+		spec := harness.Spec{
 			Scenario: "lattester/tail-latency",
 			Params:   map[string]string{"hotspot": strconv.FormatInt(h, 10)},
 			Ops:      ops,
 		}
+		b.then(spec, func(tr harness.Trial) {
+			add(&fig, "99.99%", float64(h), tr.Latency.Percentile(0.9999)/1000)
+			add(&fig, "99.999%", float64(h), tr.Latency.Percentile(0.99999)/1000)
+			add(&fig, "Max", float64(h), tr.Latency.Max()/1000)
+		})
 	}
-	for i, tr := range trials(specs) {
-		h := float64(hotspots[i])
-		hist := tr.Latency
-		fig.Series[0].Add(h, hist.Percentile(0.9999)/1000)
-		fig.Series[1].Add(h, hist.Percentile(0.99999)/1000)
-		fig.Series[2].Add(h, hist.Max()/1000)
-	}
+	b.run()
 	return []stats.Figure{fig}
 }
 
@@ -112,7 +101,7 @@ func Fig6(q Quality) []stats.Figure {
 		ID: "fig6-write", Title: "Latency under load: write (ntstore)",
 		XLabel: "bandwidth (GB/s)", YLabel: "latency (ns)",
 	}
-	loaded := func(system string, op lattester.Op, pat lattester.PatternKind, threads int, d sim.Time) harness.Spec {
+	load := func(system string, op lattester.Op, pat lattester.PatternKind, threads int, d sim.Time) harness.Spec {
 		spec := kernel(system, op, pat, 64)
 		spec.Threads = threads
 		spec.Duration = q.dur(200 * sim.Microsecond)
@@ -120,34 +109,17 @@ func Fig6(q Quality) []stats.Figure {
 		spec.Params["latency"] = "true"
 		return spec
 	}
-	medias := []string{"DRAM", "Optane"}
-	pats := []lattester.PatternKind{patRand, patSeq}
-	var specs []harness.Spec
-	for _, mediaName := range medias {
-		for _, pat := range pats {
+	var b batch
+	for _, media := range []string{"DRAM", "Optane"} {
+		for _, pat := range []lattester.PatternKind{patRand, patSeq} {
+			name := fmt.Sprintf("%s-%s", media, patLabel(pat))
 			for _, d := range delays {
-				specs = append(specs,
-					loaded(mediaName, lattester.OpRead, pat, 16, d),
-					loaded(mediaName, lattester.OpNTStore, pat, 4, d))
+				b.plot(&read, name, load(media, lattester.OpRead, pat, 16, d), loaded)
+				b.plot(&write, name, load(media, lattester.OpNTStore, pat, 4, d), loaded)
 			}
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	for _, mediaName := range medias {
-		for _, pat := range pats {
-			rs := stats.Series{Name: fmt.Sprintf("%s-%s", mediaName, patLabel(pat))}
-			ws := stats.Series{Name: fmt.Sprintf("%s-%s", mediaName, patLabel(pat))}
-			for range delays {
-				r, w := trs[k], trs[k+1]
-				rs.Add(r.GBs, r.Latency.Mean())
-				ws.Add(w.GBs, w.Latency.Mean())
-				k += 2
-			}
-			read.Series = append(read.Series, rs)
-			write.Series = append(write.Series, ws)
-		}
-	}
+	b.run()
 	return []stats.Figure{read, write}
 }
 
@@ -164,8 +136,12 @@ func Fig7(q Quality) []stats.Figure {
 	if q == Quick {
 		delays = []sim.Time{0, sim.Microsecond}
 	}
-	mixes := []string{"0:1", "1:1", "1:0"}
-	var specs []harness.Spec
+	mixFig := stats.Figure{
+		ID: "fig7-mix", Title: "Bandwidth by thread mix under emulation",
+		XLabel: "mix (0=all-write 1=1:1 2=all-read)", YLabel: "bandwidth (GB/s)",
+		Notes: fmt.Sprint([]string{"All Wr.", "1:1 Wr.:Rd.", "All Rd."}),
+	}
+	var b batch
 	for _, sys := range systems {
 		for _, d := range delays {
 			spec := emulatedSpec(sys, lattester.OpNTStore, patSeq, 64)
@@ -173,43 +149,19 @@ func Fig7(q Quality) []stats.Figure {
 			spec.Duration = q.dur(150 * sim.Microsecond)
 			spec.Params["delay_ns"] = strconv.FormatInt(int64(d/sim.Nanosecond), 10)
 			spec.Params["latency"] = "true"
-			specs = append(specs, spec)
+			b.plot(&curve, sys, spec, loaded)
 		}
 	}
 	for _, sys := range systems {
-		for _, m := range mixes {
+		for i, m := range []string{"0:1", "1:1", "1:0"} {
 			spec := emulatedSpec(sys, lattester.OpRead, patSeq, 256)
 			spec.Threads = 8
 			spec.Duration = q.dur(150 * sim.Microsecond)
 			spec.Params["mix"] = m
-			specs = append(specs, spec)
+			b.plot(&mixFig, sys, spec, gbs(float64(i)))
 		}
 	}
-	trs := trials(specs)
-	k := 0
-	for _, sys := range systems {
-		s := stats.Series{Name: sys}
-		for range delays {
-			s.Add(trs[k].GBs, trs[k].Latency.Mean())
-			k++
-		}
-		curve.Series = append(curve.Series, s)
-	}
-
-	mixLabels := []string{"All Wr.", "1:1 Wr.:Rd.", "All Rd."}
-	mixFig := stats.Figure{
-		ID: "fig7-mix", Title: "Bandwidth by thread mix under emulation",
-		XLabel: "mix (0=all-write 1=1:1 2=all-read)", YLabel: "bandwidth (GB/s)",
-		Notes: fmt.Sprint(mixLabels),
-	}
-	for _, sys := range systems {
-		s := stats.Series{Name: sys}
-		for i := range mixes {
-			s.Add(float64(i), trs[k].GBs)
-			k++
-		}
-		mixFig.Series = append(mixFig.Series, s)
-	}
+	b.run()
 	return []stats.Figure{curve, mixFig}
 }
 

@@ -107,20 +107,72 @@ var batchParallel atomic.Int64
 // batchWidth returns the current nested-batch pool width.
 func batchWidth() int { return int(batchParallel.Load()) }
 
-// trials runs a batch of datapoint specs through the parallel driver — one
-// independent job per spec, fanned across batchWidth workers — and returns
-// the trials in input order. Seeds derive from each resolved spec, so a
-// figure built from a batch is identical to one built point by point.
-func trials(specs []harness.Spec) []harness.Trial {
-	out := make([]harness.Trial, len(specs))
-	for i, sr := range harness.RunSpecs(specs, batchWidth()) {
+// A batch queues a figure's datapoints: each harness spec together with
+// where its trial lands. run executes the queue as one harness.RunSpecs
+// batch, fanned across batchWidth workers, and lands the trials in queue
+// order. Seeds derive from each resolved spec, so a figure built from a
+// batch is identical to one built point by point, and since a series is
+// created at its first point, queue order is series and point order.
+type batch struct {
+	specs []harness.Spec
+	lands []func(harness.Trial)
+}
+
+// A readout turns a trial into the (x, y) point it plots.
+type readout func(tr harness.Trial) (x, y float64)
+
+// plot queues spec; its trial adds read's point to fig's series name.
+func (b *batch) plot(fig *stats.Figure, name string, spec harness.Spec, read readout) {
+	b.then(spec, func(tr harness.Trial) {
+		x, y := read(tr)
+		add(fig, name, x, y)
+	})
+}
+
+// then queues spec with a readout that writes more than one value.
+func (b *batch) then(spec harness.Spec, land func(harness.Trial)) {
+	b.specs = append(b.specs, spec)
+	b.lands = append(b.lands, land)
+}
+
+func (b *batch) run() {
+	for i, sr := range harness.RunSpecs(b.specs, batchWidth()) {
 		if sr.Err != nil {
 			panic("figures: " + sr.Err.Error())
 		}
-		out[i] = sr.Result.Trials[0]
+		b.lands[i](sr.Result.Trials[0])
 	}
-	return out
 }
+
+// add appends (x, y) to fig's series name, creating the series at its
+// first point.
+func add(fig *stats.Figure, name string, x, y float64) {
+	s := fig.Get(name)
+	if s == nil {
+		fig.Series = append(fig.Series, stats.Series{Name: name})
+		s = &fig.Series[len(fig.Series)-1]
+	}
+	s.Add(x, y)
+}
+
+// gbs plots a trial's bandwidth at x.
+func gbs(x float64) readout {
+	return func(tr harness.Trial) (float64, float64) { return x, tr.GBs }
+}
+
+// metric plots a trial's named metric at x.
+func metric(name string, x float64) readout {
+	return func(tr harness.Trial) (float64, float64) { return x, tr.Metrics[name] }
+}
+
+// meanLatency plots a trial's mean latency (ns) at x.
+func meanLatency(x float64) readout {
+	return func(tr harness.Trial) (float64, float64) { return x, tr.Latency.Mean() }
+}
+
+// loaded plots a trial's mean latency (ns) against its bandwidth: one
+// point of a latency-under-load curve.
+func loaded(tr harness.Trial) (float64, float64) { return tr.GBs, tr.Latency.Mean() }
 
 // kernel builds the harness spec for one lattester/kernel datapoint against
 // a system label ("DRAM", "Optane", "Optane-NI" — nsFor's vocabulary).

@@ -97,6 +97,60 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
+// §5.1: accesses smaller than the 256 B XPLine waste device bandwidth, so
+// every op's random 256 B bandwidth on Optane-NI and Optane (the panels
+// after DRAM's) is at least twice its 64 B one.
+func TestFig5Shape(t *testing.T) {
+	for _, f := range Fig5(Quick)[1:] {
+		for _, s := range f.Series {
+			b64, ok64 := s.YAt(64)
+			b256, ok256 := s.YAt(256)
+			if !ok64 || !ok256 || b256 < 2*b64 {
+				t.Errorf("%s %s: 256 B random %.3g GB/s, want at least 2x 64 B (%.3g)", f.ID, s.Name, b256, b64)
+			}
+		}
+	}
+}
+
+// §5.2: ntstore beats store+clwb for sequential writes of a full XPLine
+// and more, and both instructions' latency grows with the access.
+func TestFig13Shape(t *testing.T) {
+	figs := Fig13(Quick)
+	bw, lat := figs[0], figs[1]
+	nt, clwb := bw.Get("ntstore"), bw.Get("store+clwb")
+	for i, x := range nt.X {
+		if c, _ := clwb.YAt(x); x >= 256 && nt.Y[i] <= c {
+			t.Errorf("%g B: ntstore %.3g GB/s must beat store+clwb %.3g", x, nt.Y[i], c)
+		}
+	}
+	for _, s := range lat.Series {
+		for i := 1; i < len(s.Y); i++ {
+			if s.Y[i] <= s.Y[i-1] {
+				t.Errorf("%s latency falls from %.4g ns at %g B to %.4g ns at %g B", s.Name, s.Y[i-1], s.X[i-1], s.Y[i], s.X[i])
+			}
+		}
+	}
+}
+
+// §5.2: with a fence interval of at least an XPLine, ntstore beats a clwb
+// of the whole write, which beats a clwb per 64 B line; and a clwb per
+// write gains as the interval grows.
+func TestFig14Shape(t *testing.T) {
+	f := Fig14(Quick)[0]
+	per64, perWrite, nt := f.Get("clwb(every 64B)"), f.Get("clwb(write size)"), f.Get("ntstore")
+	for i, x := range perWrite.X {
+		w := perWrite.Y[i]
+		if i > 0 && w < perWrite.Y[i-1] {
+			t.Errorf("clwb(write size) falls from %.3g GB/s at %g B to %.3g at %g B", perWrite.Y[i-1], perWrite.X[i-1], w, x)
+		}
+		n, _ := nt.YAt(x)
+		l, _ := per64.YAt(x)
+		if x >= 256 && !(n >= w && w >= l) {
+			t.Errorf("%g B: want ntstore (%.3g) >= clwb(write size) (%.3g) >= clwb(every 64B) (%.3g)", x, n, w, l)
+		}
+	}
+}
+
 func TestFig9Shape(t *testing.T) {
 	f := Fig9(Quick)[0]
 	if len(f.Series) != 3 {

@@ -23,14 +23,10 @@ func newInterleaved(t testing.TB) (*platform.Platform, *platform.Namespace) {
 func TestIdleLatencyMatchesPaper(t *testing.T) {
 	_, ns := newInterleaved(t)
 	seq := IdleLatency(IdleLatencySpec{NS: ns, Op: OpRead, Pattern: Sequential, Ops: 3000})
-	if m := seq.Mean(); m < 150 || m > 190 {
-		t.Errorf("seq read = %.1f ns, paper 169", m)
-	}
+	inWindow(t, "idle_seq_read_ns", seq.Mean())
 	_, ns2 := newInterleaved(t)
 	rnd := IdleLatency(IdleLatencySpec{NS: ns2, Op: OpRead, Pattern: Random, Ops: 3000})
-	if m := rnd.Mean(); m < 270 || m > 340 {
-		t.Errorf("rand read = %.1f ns, paper 305", m)
-	}
+	inWindow(t, "idle_rand_read_ns", rnd.Mean())
 	// Sequential reads have higher relative variance (XPLine boundary
 	// misses vs hits), per Section 3.2.
 	if seq.Std() <= rnd.Std() {
@@ -39,19 +35,12 @@ func TestIdleLatencyMatchesPaper(t *testing.T) {
 }
 
 func TestBandwidthReadVsWriteAsymmetry(t *testing.T) {
-	p, ns := NewNIPlatform(false)
-	_ = p
+	_, ns := NewNIPlatform(false)
 	read := Run(Spec{NS: ns, Op: OpRead, Pattern: Sequential, AccessSize: 256, Threads: 4})
-	p2, ns2 := NewNIPlatform(false)
-	_ = p2
+	_, ns2 := NewNIPlatform(false)
 	write := Run(Spec{NS: ns2, Op: OpNTStore, Pattern: Sequential, AccessSize: 256, Threads: 1})
-	// Paper: single-DIMM max read 6.6 GB/s vs write 2.3 GB/s (2.9x).
-	if read.GBs < 5.0 || read.GBs > 7.5 {
-		t.Errorf("NI read bandwidth = %.2f GB/s, paper ~6.6", read.GBs)
-	}
-	if write.GBs < 1.7 || write.GBs > 2.7 {
-		t.Errorf("NI write bandwidth = %.2f GB/s, paper ~2.3", write.GBs)
-	}
+	inWindow(t, "ni_read_gbs", read.GBs)
+	inWindow(t, "ni_ntstore_gbs", write.GBs)
 	ratio := read.GBs / write.GBs
 	if ratio < 2.0 || ratio > 4.0 {
 		t.Errorf("read/write ratio = %.2f, paper 2.9", ratio)
@@ -81,12 +70,8 @@ func TestSmallRandomAccessesArePoor(t *testing.T) {
 	if small.GBs > 0.6*atLine.GBs {
 		t.Errorf("64B random (%.2f) should be far below 256B random (%.2f)", small.GBs, atLine.GBs)
 	}
-	if small.EWR() > 0.35 {
-		t.Errorf("64B random EWR = %.2f, paper 0.25", small.EWR())
-	}
-	if atLine.EWR() < 0.9 {
-		t.Errorf("256B random EWR = %.2f, paper 0.98", atLine.EWR())
-	}
+	inWindow(t, "ewr_rand64", small.EWR())
+	inWindow(t, "ewr_rand256", atLine.EWR())
 }
 
 func TestStoreWithoutFlushLosesSequentiality(t *testing.T) {

@@ -182,16 +182,13 @@ func (c *MemCtx) LoadInto(ns *Namespace, off int64, buf []byte) {
 // durable data) without advancing simulated time. Use it when the timing
 // of the copy has already been charged through Load or LoadStream.
 func (c *MemCtx) Peek(ns *Namespace, off int64, buf []byte) {
+	c.p.persist.Read(ns.GlobalAddr(off), buf)
 	llc := c.llc()
 	for i := 0; i < len(buf); {
 		addr := off + int64(i)
 		line := mem.LineAddr(addr)
 		lo := int(addr - line)
-		n := mem.CacheLine - lo
-		if n > len(buf)-i {
-			n = len(buf) - i
-		}
-		c.p.persist.Read(ns.GlobalAddr(addr), buf[i:i+n])
+		n := min(mem.CacheLine-lo, len(buf)-i)
 		if data, mask := llc.Data(ns.GlobalAddr(line)); data != nil {
 			for j := 0; j < n; j++ {
 				if mask&(1<<uint(lo+j)) != 0 {

@@ -40,99 +40,6 @@ func avgLatency(p *Platform, ns *Namespace, n int, op func(ctx *MemCtx, i int)) 
 	return total.Nanoseconds() / float64(n)
 }
 
-func TestLatencyOptaneRandomRead(t *testing.T) {
-	p := newPlatform(t, false)
-	ns, _ := p.Optane("pm", 0, 1<<30)
-	r := sim.NewRNG(7)
-	lat := avgLatency(p, ns, 2000, func(ctx *MemCtx, i int) {
-		ctx.Load(ns, r.Int63n(ns.Size)&^63, 8)
-	})
-	if lat < 270 || lat > 340 {
-		t.Errorf("Optane random read latency = %.1f ns, paper: 305", lat)
-	}
-}
-
-func TestLatencyOptaneSequentialRead(t *testing.T) {
-	p := newPlatform(t, false)
-	ns, _ := p.Optane("pm", 0, 1<<30)
-	lat := avgLatency(p, ns, 4000, func(ctx *MemCtx, i int) {
-		ctx.Load(ns, int64(i)*64, 8)
-	})
-	if lat < 150 || lat > 190 {
-		t.Errorf("Optane sequential read latency = %.1f ns, paper: 169", lat)
-	}
-}
-
-func TestLatencyDRAMReads(t *testing.T) {
-	p := newPlatform(t, false)
-	ns, _ := p.DRAM("dram", 0, 1<<30)
-	r := sim.NewRNG(9)
-	rand := avgLatency(p, ns, 2000, func(ctx *MemCtx, i int) {
-		ctx.Load(ns, r.Int63n(ns.Size)&^63, 8)
-	})
-	seq := avgLatency(p, ns, 2000, func(ctx *MemCtx, i int) {
-		ctx.Load(ns, int64(i)*64, 8)
-	})
-	if seq < 70 || seq > 92 {
-		t.Errorf("DRAM sequential read latency = %.1f ns, paper: 81", seq)
-	}
-	if rand < 90 || rand > 112 {
-		t.Errorf("DRAM random read latency = %.1f ns, paper: 101", rand)
-	}
-	if rand <= seq {
-		t.Errorf("random (%.1f) must exceed sequential (%.1f)", rand, seq)
-	}
-}
-
-func TestLatencyWriteInstructions(t *testing.T) {
-	p := newPlatform(t, false)
-	pm, _ := p.Optane("pm", 0, 1<<26)
-	dram, _ := p.DRAM("dram", 0, 1<<26)
-
-	measure := func(ns *Namespace, nt bool) float64 {
-		return avgLatency(p, ns, 1000, func(ctx *MemCtx, i int) {
-			off := int64(i%1024) * 64
-			if nt {
-				ctx.NTStore(ns, off, 64, nil)
-				ctx.SFence()
-			} else {
-				ctx.Store(ns, off, 64, nil)
-				ctx.CLWB(ns, off, 64)
-				ctx.SFence()
-			}
-		})
-	}
-	// Warm the cache so store+clwb measures the paper's "line already
-	// cached" case.
-	run1(p, 0, func(ctx *MemCtx) {
-		for i := int64(0); i < 1024; i++ {
-			ctx.Load(pm, i*64, 64)
-			ctx.Load(dram, i*64, 64)
-		}
-	})
-
-	clwbXP := measure(pm, false)
-	ntXP := measure(pm, true)
-	clwbDRAM := measure(dram, false)
-	ntDRAM := measure(dram, true)
-
-	if clwbXP < 50 || clwbXP > 80 {
-		t.Errorf("Optane store+clwb latency = %.1f ns, paper: 62", clwbXP)
-	}
-	if ntXP < 75 || ntXP > 105 {
-		t.Errorf("Optane ntstore latency = %.1f ns, paper: 90", ntXP)
-	}
-	if clwbDRAM < 45 || clwbDRAM > 70 {
-		t.Errorf("DRAM store+clwb latency = %.1f ns, paper: 57", clwbDRAM)
-	}
-	if ntDRAM < 70 || ntDRAM > 100 {
-		t.Errorf("DRAM ntstore latency = %.1f ns, paper: 86", ntDRAM)
-	}
-	if ntXP < clwbXP {
-		t.Error("ntstore must cost more than store+clwb for 64B")
-	}
-}
-
 func TestRemoteLatencyHigher(t *testing.T) {
 	p := newPlatform(t, false)
 	ns, _ := p.Optane("pm", 0, 1<<28)
@@ -156,79 +63,6 @@ func TestRemoteLatencyHigher(t *testing.T) {
 	if ratio < 1.15 || ratio > 1.9 {
 		t.Errorf("remote/local random read ratio = %.2f (%.0f/%.0f ns), paper: 1.2-1.8",
 			ratio, remote, local)
-	}
-}
-
-func TestSequentialNTStoreBandwidthNI(t *testing.T) {
-	p := newPlatform(t, false)
-	ns, _ := p.OptaneNI("ni", 0, 0, 1<<28)
-	const total = 12 << 20
-	end := run1(p, 0, func(ctx *MemCtx) {
-		for off := int64(0); off < total; off += 256 {
-			ctx.NTStore(ns, off, 256, nil)
-		}
-		ctx.SFence()
-	})
-	gbs := float64(total) / end.Seconds() / 1e9
-	if gbs < 1.7 || gbs > 2.7 {
-		t.Errorf("single-DIMM seq ntstore bandwidth = %.2f GB/s, paper: ~2.3", gbs)
-	}
-	c := p.XPCounters(0)
-	if c.EWR() < 0.95 {
-		t.Errorf("sequential EWR = %.3f", c.EWR())
-	}
-}
-
-func TestInterleavingScalesWriteBandwidth(t *testing.T) {
-	bw := func(interleaved bool, threads int) float64 {
-		p := newPlatform(t, false)
-		var ns *Namespace
-		if interleaved {
-			ns, _ = p.Optane("pm", 0, 1<<30)
-		} else {
-			ns, _ = p.OptaneNI("pm", 0, 0, 1<<30)
-		}
-		const per = 3 << 20
-		for th := 0; th < threads; th++ {
-			th := th
-			p.Go("w", 0, func(ctx *MemCtx) {
-				base := int64(th) * (ns.Size / int64(threads))
-				for off := int64(0); off < per; off += 256 {
-					ctx.NTStore(ns, base+off, 256, nil)
-				}
-				ctx.SFence()
-			})
-		}
-		end := p.Run()
-		return float64(per*int64(threads)) / end.Seconds() / 1e9
-	}
-	ni := bw(false, 1)
-	il := bw(true, 6)
-	if il < 3.5*ni {
-		t.Errorf("interleaving speedup = %.1fx (%.2f vs %.2f GB/s), paper: ~5.6x",
-			il/ni, il, ni)
-	}
-}
-
-func TestDRAMReadBandwidthScales(t *testing.T) {
-	p := newPlatform(t, false)
-	ns, _ := p.DRAM("dram", 0, 1<<30)
-	const per = 4 << 20
-	threads := 24
-	for th := 0; th < threads; th++ {
-		th := th
-		p.Go("r", 0, func(ctx *MemCtx) {
-			base := int64(th) * (ns.Size / int64(threads))
-			for off := int64(0); off < per; off += 256 {
-				ctx.LoadStream(ns, base+off, 256)
-			}
-			ctx.DrainLoads()
-		})
-	}
-	end := p.Run()
-	gbs := float64(per*int64(threads)) / end.Seconds() / 1e9
-	if gbs < 70 || gbs > 130 {
-		t.Errorf("DRAM 24-thread read bandwidth = %.1f GB/s, paper: ~105", gbs)
 	}
 }
 
