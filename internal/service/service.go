@@ -472,18 +472,19 @@ func Serve(cfg Config) (*Result, error) {
 
 	// Dispatcher: walks arrival timestamps, stamps each request with its
 	// tenant, op and key, routes it to a shard, and either admits it to
-	// that shard's queue or sheds it.
+	// that shard's queue or sheds it. The engine runs it as a Waiter: each
+	// wake-up dispatches the request arriving at t and draws the next
+	// arrival, and the one whose draw passes the deadline, or whose route
+	// fails, closes the run.
 	var runErr error
 	p.Go("serve-arrivals", cfg.Socket, func(ctx *platform.MemCtx) {
-		proc := ctx.Proc()
 		pick := sim.NewRNG(cfg.Seed*0x9E37 + 0xA441)
-		t := start
-		for {
-			t += cfg.Arrival.Next()
-			if t >= deadline {
-				break
-			}
-			proc.AdvanceTo(t)
+		t := start + cfg.Arrival.Next()
+		if t >= deadline {
+			st.closed = true
+			return
+		}
+		ctx.Proc().Wait(t, sim.WaitFunc(func(sim.Time) (sim.Time, bool) {
 			ti := pick.Intn(len(cfg.Tenants))
 			var op Op
 			switch u := pick.Float64(); {
@@ -516,37 +517,43 @@ func Serve(cfg Config) (*Result, error) {
 				}
 				if si < 0 || si >= len(st.shards) {
 					runErr = fmt.Errorf("service: route sent key %d to shard %d of %d", key, si, len(st.shards))
-					break
+					st.closed = true
+					return t, true
 				}
 			}
 			sh := &st.shards[si]
 			if measured {
 				sh.offered++
 			}
-			if sh.full() {
-				if measured {
-					st.tenants[ti].Dropped++
-					sh.dropped++
-					if fo := sh.fo; fo != nil && fo.inWindow {
-						fo.st.ShedWindow++
-					}
-					st.rec.RecordShed(ti, si)
+			if !sh.full() {
+				if !sharded {
+					key = gens[ti].next()
 				}
-				continue
+				sh.push(request{tenant: ti, op: op, key: key, arrival: t, measured: measured})
+			} else if measured {
+				st.tenants[ti].Dropped++
+				sh.dropped++
+				if fo := sh.fo; fo != nil && fo.inWindow {
+					fo.st.ShedWindow++
+				}
+				st.rec.RecordShed(ti, si)
 			}
-			if !sharded {
-				key = gens[ti].next()
+			t += cfg.Arrival.Next()
+			if t >= deadline {
+				st.closed = true
+				return t, true
 			}
-			sh.push(request{tenant: ti, op: op, key: key, arrival: t, measured: measured})
-		}
-		st.closed = true
+			return t, false
+		}))
 	})
 
 	// Workers: per-shard drain-execute loops. A worker drains up to depth
 	// admitted requests per wakeup and runs them as one executeBatch
 	// group; an idle worker re-polls its shard's queue every cfg.Poll, and
 	// after the dispatcher closes, workers drain the backlog so admitted
-	// requests always complete.
+	// requests always complete. The engine runs the polls: an idle worker
+	// waits on idle, which makes the loop's checks in the loop's order at
+	// each poll and lets the worker on once one of them would.
 	depth := max(cfg.BatchSize, 1)
 	for si := range shards {
 		shard := &shards[si]
@@ -561,12 +568,22 @@ func Serve(cfg Config) (*Result, error) {
 				sc := newOpScratch(cfg)
 				batch := make([]request, 0, depth)
 				fo := sh.fo
+				idle := sim.WaitFunc(func(now sim.Time) (sim.Time, bool) {
+					switch {
+					case runErr != nil:
+						return now, true
+					case fo != nil && fo.blocked(now):
+					case sh.queue.Len() > 0 || st.closed:
+						return now, true
+					}
+					return now + cfg.Poll, false
+				})
 				for runErr == nil {
 					if fo != nil && fo.blocked(proc.Now()) {
 						// Shard storage is down or stalled: the pool
 						// survives (the frontend lives on) but cannot
 						// serve until promotion or the stall deadline.
-						proc.Sleep(cfg.Poll)
+						proc.Wait(proc.Now()+cfg.Poll, idle)
 						continue
 					}
 					batch = sh.popN(proc.Now(), depth, batch[:0])
@@ -574,7 +591,7 @@ func Serve(cfg Config) (*Result, error) {
 						if st.closed {
 							return
 						}
-						proc.Sleep(cfg.Poll)
+						proc.Wait(proc.Now()+cfg.Poll, idle)
 						continue
 					}
 					// Linger for stragglers when the batch came up short —

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"optanestudy/internal/platform"
@@ -179,6 +180,37 @@ func TestServeDeterministic(t *testing.T) {
 	}
 	if a.WorkerBusy != b.WorkerBusy || a.QueueResidency != b.QueueResidency {
 		t.Fatal("instrumentation diverged")
+	}
+}
+
+// TestServeRouteOutOfRange checks that a route naming a shard that does
+// not exist ends the run with an error: the dispatcher stops at that
+// request, and the workers drain what was admitted and stop.
+func TestServeRouteOutOfRange(t *testing.T) {
+	p := testPlatform(t)
+	be, err := NewPMemKV(p, BackendSpec{Media: "optane", Keys: 400, KeySize: 16, ValSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := 0
+	_, err = Serve(Config{
+		Platform: p,
+		Shards:   []Shard{{Backend: be, Workers: 2}, {Backend: be, Workers: 2}},
+		Route: func(key int64) int {
+			if routed++; routed == 50 {
+				return 2
+			}
+			return int(key % 2)
+		},
+		Arrival: NewPoisson(2e6, 7), Tenants: []Tenant{{Name: "uni"}},
+		Keys: 200, KeySize: 16, ValSize: 128, GetFrac: 1,
+		Duration: 200 * sim.Microsecond, Seed: 7,
+	})
+	if err == nil || !strings.Contains(err.Error(), "route sent key") {
+		t.Fatalf("Serve returned %v, want the route error", err)
+	}
+	if routed != 50 {
+		t.Fatalf("route called %d times, want the dispatcher to stop at call 50", routed)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Proc is a simulated thread of execution. Procs advance simulated time via
-// AdvanceTo/Sleep; between advances they run exclusively, so shared
-// simulation state needs no locking.
+// AdvanceTo/Sleep, or block in Wait; between advances they run exclusively,
+// so shared simulation state needs no locking.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -19,6 +19,9 @@ type Proc struct {
 	next func() (struct{}, bool)
 	stop func()
 	park func(struct{}) bool
+
+	// waiter is the Waiter the proc is blocked on in Wait, nil otherwise.
+	waiter Waiter
 }
 
 // Now returns the proc's current simulated time.
@@ -43,6 +46,9 @@ func (p *Proc) Advance(d Time) { p.AdvanceTo(p.now + d) }
 func (p *Proc) Sleep(d Time) { p.Advance(d) }
 
 func (p *Proc) yield() {
+	if p.waiter != nil {
+		panic(wakeAdvanceMsg)
+	}
 	e := p.eng
 	// Fast path: if every parked proc is strictly later than this one, Run
 	// would resume this proc straight away, so skip the coroutine switch.
@@ -57,6 +63,53 @@ func (p *Proc) yield() {
 	}
 	p.seq = e.nextSeq()
 	if !p.park(struct{}{}) {
+		panic(procStop{})
+	}
+}
+
+// Waiter is a wait that the engine runs for a proc blocked in Wait. Wake is
+// called at each of the proc's wake-up times, on Run's goroutine, and
+// returns the time of the next wake-up, or resume once the proc may go on.
+// Wake may read and change simulation state, but must not advance, yield
+// or Wait on its proc.
+type Waiter interface {
+	Wake(now Time) (next Time, resume bool)
+}
+
+// WaitFunc adapts a function to the Waiter interface.
+type WaitFunc func(now Time) (next Time, resume bool)
+
+// Wake calls f.
+func (f WaitFunc) Wake(now Time) (Time, bool) { return f(now) }
+
+// wakeAdvanceMsg is the panic value when a Waiter advances, yields or Waits
+// on its own proc inside Wake.
+const wakeAdvanceMsg = "sim: a Waiter advanced, yielded or waited on its proc inside Wake"
+
+// Wait blocks p until w resumes it. p's clock, the engine clock and the
+// (now, seq) order of every proc come out exactly as from
+//
+//	for t := first; ; t = next {
+//		p.AdvanceTo(t)
+//		next, resume := w.Wake(p.Now())
+//		if resume {
+//			return
+//		}
+//	}
+//
+// but Run makes the advances and calls Wake itself, so a wake-up that does
+// not resume costs no coroutine switch: p parks once, here, and runs again
+// only when Wake resumes it.
+func (p *Proc) Wait(first Time, w Waiter) {
+	if p.waiter != nil {
+		panic(wakeAdvanceMsg)
+	}
+	if first > p.now {
+		p.now = first
+	}
+	p.waiter = w
+	if !p.park(struct{}{}) {
+		p.waiter = nil
 		panic(procStop{})
 	}
 }
@@ -122,20 +175,67 @@ func (e *Engine) Go(name string, start Time, fn func(p *Proc)) *Proc {
 // coroutine. A runtime.Goexit in a proc, such as t.FailNow, likewise ends
 // the goroutine that called Run. The proc is then finished; the engine may
 // afterwards only be stopped, which reaps the procs still parked.
+//
+// A proc blocked in Wait stays parked while Run calls its Waiter. A Waiter
+// that panics unwinds Run the same way; its proc is then put back among the
+// parked procs, so that Stop reaps it.
 func (e *Engine) Run() Time {
 	if e.stopped {
 		panic("sim: Run on a stopped engine")
 	}
-	for len(e.procs) > 0 {
-		p := e.procs.pop()
+	if len(e.procs) == 0 {
+		return e.now
+	}
+	p := e.procs.pop()
+	defer func() {
+		if p != nil && p.waiter != nil {
+			e.procs.push(p)
+		}
+	}()
+	for {
 		if p.now > e.now {
 			e.now = p.now
 		}
-		if _, parked := p.next(); parked {
-			e.procs.push(p)
+		if w := p.waiter; w != nil {
+			next, resume := w.Wake(p.now)
+			if !resume {
+				if next > p.now {
+					p.now = next
+				}
+				p = e.reschedule(p)
+				continue
+			}
+			p.waiter = nil
 		}
+		if _, parked := p.next(); parked {
+			if p.waiter == nil {
+				// p parked in yield, behind the earliest parked proc
+				// and with a fresh seq: the two trade places.
+				p = e.procs.replaceTop(p)
+			} else {
+				// p parked in Wait, its clock at the first wake-up.
+				p = e.reschedule(p)
+			}
+			continue
+		}
+		if len(e.procs) == 0 {
+			p = nil
+			return e.now
+		}
+		p = e.procs.pop()
 	}
-	return e.now
+}
+
+// reschedule is the scheduling half of an advance of p, which is out of the
+// heap: p runs on if it is strictly earlier than every parked proc, as in
+// yield's fast path, and otherwise draws a fresh seq and trades places with
+// the earliest parked proc. It returns the proc to run next.
+func (e *Engine) reschedule(p *Proc) *Proc {
+	if len(e.procs) > 0 && p.now >= e.procs[0].now {
+		p.seq = e.nextSeq()
+		p = e.procs.replaceTop(p)
+	}
+	return p
 }
 
 // Stop tears the engine down: every live proc — spawned but never run, or
@@ -193,26 +293,42 @@ func (h *procHeap) pop() *Proc {
 	n := len(s) - 1
 	last := s[n]
 	s[n] = nil
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
+	*h = s[:n]
+	if n > 0 {
+		s[:n].down(last)
 	}
+	return top
+}
+
+// replaceTop pushes p and pops the earliest proc with one sift: it returns
+// what push(p) then pop() would and leaves the heap holding the same procs.
+func (h procHeap) replaceTop(p *Proc) *Proc {
+	if len(h) == 0 || p.before(h[0]) {
+		return p
+	}
+	top := h[0]
+	h.down(p)
+	return top
+}
+
+// down puts p in the root slot, whose proc has been taken out, and sifts it
+// down to its place.
+func (h procHeap) down(p *Proc) {
+	n := len(h)
 	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && s[r].before(s[c]) {
+		if r := c + 1; r < n && h[r].before(h[c]) {
 			c = r
 		}
-		if !s[c].before(last) {
+		if !h[c].before(p) {
 			break
 		}
-		s[i] = s[c]
+		h[i] = h[c]
 		i = c
 	}
-	s[i] = last
-	return top
+	h[i] = p
 }

@@ -27,10 +27,13 @@ func (h *refHeap) Pop() any {
 	return p
 }
 
-// replayHeapOps decodes ops one byte each — odd pops, even pushes a new
-// proc at now = b/2 ns with the next seq, as Go and a parking yield do —
-// and replays them on procHeap and on refHeap. The two must agree on the
-// head after every op and on every pop, including the final drain.
+// replayHeapOps decodes ops one byte each and replays them on procHeap
+// and on refHeap: an even byte pushes a new proc at now = b/2 ns with the
+// next seq, as Go does; b&3 == 1 pops; b&3 == 3 replaces the top with a
+// new proc at now = b/4 ns and the next seq, as Run re-queues a parked
+// proc, which the reference does as a push and then a pop. The two must
+// agree on the head after every op and on every pop and replace-top,
+// including the final drain.
 func replayHeapOps(t *testing.T, ops []byte) {
 	t.Helper()
 	var h procHeap
@@ -59,6 +62,15 @@ func replayHeapOps(t *testing.T, ops []byte) {
 			p := &Proc{now: Time(b>>1) * Nanosecond, seq: seq}
 			h.push(p)
 			heap.Push(&ref, p)
+		case b&3 == 3:
+			seq++
+			p := &Proc{now: Time(b>>2) * Nanosecond, seq: seq}
+			heap.Push(&ref, p)
+			got, want := h.replaceTop(p), heap.Pop(&ref).(*Proc)
+			if got != want {
+				t.Fatalf("op %d: replace-top (%v, %d), reference (%v, %d)",
+					i, got.now, got.seq, want.now, want.seq)
+			}
 		case len(ref) > 0:
 			pop(i)
 		}
@@ -72,16 +84,19 @@ func replayHeapOps(t *testing.T, ops []byte) {
 
 // TestProcHeapMatchesReference compares the typed heap pop-for-pop with
 // the container/heap reference over seeded random op sequences whose
-// times come from a narrow range, so most pushes tie on now and the order
-// rests on seq.
+// times come from a narrow range, so most pushes and replace-tops tie on
+// now and the order rests on seq.
 func TestProcHeapMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		r := NewRNG(seed)
 		ops := make([]byte, 2000)
 		for i := range ops {
-			if r.Bool(0.55) {
+			switch u := r.Float64(); {
+			case u < 0.4:
 				ops[i] = byte(r.Intn(8)) << 1
-			} else {
+			case u < 0.7:
+				ops[i] = byte(r.Intn(8))<<2 | 3
+			default:
 				ops[i] = 1
 			}
 		}
@@ -108,5 +123,6 @@ func FuzzProcHeapMatchesReference(f *testing.F) {
 	f.Add(equal)
 	f.Add(decreasing)
 	f.Add([]byte{6, 2, 4, 1, 2, 2, 1, 1, 0, 1, 1, 1})
+	f.Add([]byte{3, 8, 4, 3, 7, 11, 2, 15, 1, 0x13, 6, 3, 1, 1})
 	f.Fuzz(replayHeapOps)
 }

@@ -157,3 +157,77 @@ func TestStopUnwindsParkedProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestStopReapsWaitingProcs pins teardown for procs blocked in Wait: Stop
+// ends each of them and runs its deferred functions exactly once, both
+// when another proc's panic ended Run and when the proc's own Waiter
+// panicked. Wake runs on Run's goroutine while its proc is parked and out
+// of the heap, so Run must put the proc back for Stop to reach it.
+func TestStopReapsWaitingProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, waiterPanics := range []bool{false, true} {
+		for i := 0; i < 50; i++ {
+			e := NewEngine()
+			var unwound [3]int
+			for j := range unwound {
+				e.Go("waiting", 0, func(p *Proc) {
+					defer func() { unwound[j]++ }()
+					wakes := 0
+					p.Wait(Nanosecond, WaitFunc(func(now Time) (Time, bool) {
+						if wakes++; waiterPanics && j == 1 && wakes == 3 {
+							panic("boom")
+						}
+						return now + Nanosecond, false
+					}))
+					t.Errorf("waiting proc %d resumed", j)
+				})
+			}
+			if !waiterPanics {
+				e.Go("boom", 0, func(p *Proc) {
+					p.Advance(5 * Nanosecond)
+					panic("boom")
+				})
+			}
+			if r := runRecovering(e); r != "boom" {
+				t.Fatalf("Run panicked with %v, want %q", r, "boom")
+			}
+			if unwound != [3]int{} {
+				t.Fatalf("deferred counts before Stop = %v, want all 0", unwound)
+			}
+			e.Stop()
+			if unwound != [3]int{1, 1, 1} {
+				t.Fatalf("waiter panics %v: deferred counts after Stop = %v, want all 1", waiterPanics, unwound)
+			}
+		}
+	}
+	if after := waitGoroutines(before); after > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestWakeMayNotAdvanceItsProc pins the Waiter contract: a Wake that
+// advances, yields or waits on its own proc panics, and says why.
+func TestWakeMayNotAdvanceItsProc(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		misuse func(p *Proc)
+	}{
+		{"Advance", func(p *Proc) { p.Advance(Nanosecond) }},
+		{"AdvanceTo", func(p *Proc) { p.AdvanceTo(p.Now()) }},
+		{"Wait", func(p *Proc) {
+			p.Wait(p.Now(), WaitFunc(func(now Time) (Time, bool) { return now, true }))
+		}},
+	} {
+		e := NewEngine()
+		e.Go("misuse", 0, func(p *Proc) {
+			p.Wait(Nanosecond, WaitFunc(func(Time) (Time, bool) {
+				c.misuse(p)
+				return 0, true
+			}))
+		})
+		if r := runRecovering(e); r != wakeAdvanceMsg {
+			t.Errorf("%s inside Wake: Run panicked with %v, want %q", c.name, r, wakeAdvanceMsg)
+		}
+		e.Stop()
+	}
+}
