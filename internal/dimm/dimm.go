@@ -27,8 +27,13 @@ const (
 )
 
 // DIMM is a memory module attached to one channel. The iMC calls ReadLine
-// for 64 B reads and WriteLine when a 64 B write drains from the WPQ; both
-// are invoked in nondecreasing time order (FIFO per channel).
+// for 64 B reads and WriteLine when a 64 B write drains from the WPQ. Calls
+// arrive in the order the simulated threads make them, not in time order:
+// a thread walks a multi-line access on its own clock, so a call may be
+// dated before one already made (over the neutrality guard's sweep, 5.3 %
+// of WPQ posts are dated before a post already made to the same DIMM). A
+// module serves its calls in call order, as sim.Server does; the causal
+// device model planned in ROADMAP.md makes service follow time order.
 type DIMM interface {
 	// ReadLine performs a 64 B read beginning service at time t and returns
 	// the time data is ready at the DIMM pins.

@@ -19,6 +19,11 @@ import (
 // Persistence semantics mirror the ADR platform: a store is durable once
 // posted to a WPQ (flush or ntstore); data sitting dirty in the cache or in
 // a write-combining buffer is volatile and lost on Crash.
+//
+// Each memory event has one code site: fetch reads a line from its device
+// (a load miss or a store's ownership read), postLine posts a line toward
+// its WPQ and is the only timed writer of durable bytes, and SFence waits
+// for the posts to be accepted.
 type MemCtx struct {
 	p      *Platform
 	proc   *sim.Proc
@@ -27,8 +32,7 @@ type MemCtx struct {
 
 	windows []dimmWindow // per-DIMM WPQ windows, in first-use order
 
-	pendingAck sim.Time
-	hasPending bool
+	pendingAck sim.Time // latest acceptance of a tracked post since the last fence
 
 	loads   sim.Queue[sim.Time] // completion times of outstanding loads, in issue order
 	loadMax sim.Time
@@ -76,24 +80,13 @@ func (c *MemCtx) window(d dimm.DIMM) *sim.Queue[sim.Time] {
 			return w.drains
 		}
 	}
-	q := c.p.getWindow()
+	q := new(sim.Queue[sim.Time])
 	c.windows = append(c.windows, dimmWindow{d: d, drains: q})
 	return q
 }
 
-// recycle returns the context's per-DIMM windows to the platform pool once
-// its thread has finished; later threads reuse the window storage instead
-// of allocating fresh windows. Safe because procs run exclusively.
-func (c *MemCtx) recycle() {
-	for _, w := range c.windows {
-		w.drains.Reset()
-		c.p.windowPool = append(c.p.windowPool, w.drains)
-	}
-	c.windows = nil
-}
-
 func (c *MemCtx) resetPending() {
-	c.pendingAck, c.hasPending = 0, false
+	c.pendingAck = 0
 	for _, w := range c.windows {
 		w.drains.Reset()
 	}
@@ -110,14 +103,26 @@ func checkRange(ns *Namespace, off int64, size int) {
 
 // ---- Loads ----
 
-// loadSlot obtains an MLP slot, returning the (possibly delayed) issue time.
-func (c *MemCtx) loadSlot(t sim.Time) sim.Time {
+// fetch reads one line from its device, for a load miss or a store's
+// ownership read. It issues at t, or when the oldest outstanding load
+// completes if all MLP slots are busy. A remote line waits for its home
+// agent's grant and pays upiReturn on top of the device read. It returns
+// the issue time and the data-ready time.
+func (c *MemCtx) fetch(ns *Namespace, lineOff int64, t, upiReturn sim.Time) (sim.Time, sim.Time) {
 	if c.loads.Len() >= c.p.cfg.MLP {
-		if oldest := c.loads.Pop(); oldest > t {
-			t = oldest
-		}
+		t = max(t, c.loads.Pop())
 	}
-	return t
+	pos, local := ns.Resolve(lineOff)
+	start := t
+	if c.remote(ns) {
+		_, start = c.p.home[ns.Socket].acquire(t, false, ns.Media == topology.MediaXP)
+	} else {
+		upiReturn = 0
+	}
+	done := c.p.channelOf(ns, pos).Read(start, c.p.dimmOf(ns, pos), local) + c.p.cfg.LoadOverhead + upiReturn
+	c.loads.Push(done)
+	c.loadMax = max(c.loadMax, done)
+	return t, done
 }
 
 // chunkLoad issues one 64 B load at time t; returns issue-done time and
@@ -128,47 +133,35 @@ func (c *MemCtx) chunkLoad(ns *Namespace, lineOff int64, t sim.Time) (sim.Time, 
 	if llc.Present(g) {
 		return t + c.p.cfg.ChunkIssue, t + llc.HitLatency()
 	}
-	t = c.loadSlot(t)
-	pos, local := ns.Resolve(lineOff)
-	ch, d := c.p.channelOf(ns, pos), c.p.dimmOf(ns, pos)
-	start := t
-	extra := sim.Time(0)
-	if c.remote(ns) {
-		_, granted := c.p.home[ns.Socket].acquire(t, false, ns.Media == topology.MediaXP)
-		start = granted
-		extra = 2 * c.p.cfg.UPI.HopLatency
-	}
-	done := ch.Read(start, d, local) + c.p.cfg.LoadOverhead + extra
-	c.loads.Push(done)
-	if done > c.loadMax {
-		c.loadMax = done
-	}
+	t, done := c.fetch(ns, lineOff, t, 2*c.p.cfg.UPI.HopLatency)
 	if victim, ok := llc.Insert(g); ok && victim.Dirty {
 		c.writebackVictim(t, victim)
 	}
 	return t + c.p.cfg.ChunkIssue, done
 }
 
+// issueLoads issues one load per line of [off, off+size) from the thread's
+// clock; it returns the time the last issue completes and the latest
+// data-ready time.
+func (c *MemCtx) issueLoads(ns *Namespace, off int64, size int) (t, ready sim.Time) {
+	checkRange(ns, off, size)
+	t = c.proc.Now()
+	line := mem.LineAddr(off)
+	for n := mem.LinesIn(off, size); n > 0; n-- {
+		var done sim.Time
+		t, done = c.chunkLoad(ns, line, t)
+		ready = max(ready, done)
+		line += mem.CacheLine
+	}
+	return t, ready
+}
+
 // Load performs a synchronous read of size bytes: the thread waits until
 // all touched lines return (memcpy/pointer-chase semantics for single
 // lines).
 func (c *MemCtx) Load(ns *Namespace, off int64, size int) {
-	checkRange(ns, off, size)
-	t := c.proc.Now()
-	var done sim.Time
-	first := mem.LineAddr(off)
-	for n := mem.LinesIn(off, size); n > 0; n-- {
-		var d sim.Time
-		t, d = c.chunkLoad(ns, first, t)
-		if d > done {
-			done = d
-		}
-		first += mem.CacheLine
-	}
-	if done > t {
-		t = done
-	}
-	c.proc.AdvanceTo(t)
+	t, ready := c.issueLoads(ns, off, size)
+	c.proc.AdvanceTo(max(t, ready))
 }
 
 // LoadInto is Load plus a copy of the bytes into buf (overlay-coherent:
@@ -203,13 +196,7 @@ func (c *MemCtx) Peek(ns *Namespace, off int64, buf []byte) {
 // LoadStream issues reads pipelined without waiting for completion (bulk
 // copy semantics); DrainLoads synchronizes.
 func (c *MemCtx) LoadStream(ns *Namespace, off int64, size int) {
-	checkRange(ns, off, size)
-	t := c.proc.Now()
-	first := mem.LineAddr(off)
-	for n := mem.LinesIn(off, size); n > 0; n-- {
-		t, _ = c.chunkLoad(ns, first, t)
-		first += mem.CacheLine
-	}
+	t, _ := c.issueLoads(ns, off, size)
 	c.proc.AdvanceTo(t)
 }
 
@@ -260,23 +247,12 @@ func (c *MemCtx) Store(ns *Namespace, off int64, size int, data []byte) {
 	c.proc.AdvanceTo(t)
 }
 
+// rfo reads a store-missed line for ownership and records when it lands.
+// Unlike a load miss it charges a remote line no UPI return hop; ROADMAP
+// item 2 settles that with its move of the results.
 func (c *MemCtx) rfo(ns *Namespace, lineOff int64, t sim.Time) sim.Time {
-	t = c.loadSlot(t)
-	pos, local := ns.Resolve(lineOff)
-	ch, d := c.p.channelOf(ns, pos), c.p.dimmOf(ns, pos)
-	start := t
-	if c.remote(ns) {
-		_, start = c.p.home[ns.Socket].acquire(t, false, ns.Media == topology.MediaXP)
-	}
-	done := ch.Read(start, d, local) + c.p.cfg.LoadOverhead
-	c.loads.Push(done)
-	if done > c.loadMax {
-		c.loadMax = done
-	}
-	if c.rfoDone == nil {
-		c.rfoDone = make(map[int64]sim.Time)
-	}
-	if len(c.rfoDone) > 8192 {
+	t, done := c.fetch(ns, lineOff, t, 0)
+	if c.rfoDone == nil || len(c.rfoDone) > 8192 {
 		c.rfoDone = make(map[int64]sim.Time)
 	}
 	c.rfoDone[ns.GlobalAddr(lineOff)] = done
@@ -290,18 +266,15 @@ func (c *MemCtx) writebackVictim(t sim.Time, victim cache.Victim) {
 	if ns == nil {
 		return
 	}
-	lineOff := victim.Addr - ns.Base
-	c.postLine(ns, lineOff, nil, t, false)
-	if c.p.cfg.TrackData && victim.Data != nil {
-		c.persistMasked(victim.Addr, victim.Data, victim.Mask)
-	}
+	c.postLine(ns, victim.Addr-ns.Base, victim.Data, victim.Mask, t, false)
 }
 
-// postLine enqueues one 64 B line write toward its DIMM. When tracked is
+// postLine enqueues one 64 B line write toward its DIMM and, when data is
+// given, writes its mask-covered bytes into the durable store. When tracked is
 // true the post participates in fence ordering and the per-thread WPQ
 // window (explicit flushes and ntstores); hardware evictions pass false.
 // Returns the thread time after any window wait.
-func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, t sim.Time, tracked bool) sim.Time {
+func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, mask uint64, t sim.Time, tracked bool) sim.Time {
 	pos, local := ns.Resolve(lineOff)
 	ch, d := c.p.channelOf(ns, pos), c.p.dimmOf(ns, pos)
 	xp := ns.Media == topology.MediaXP
@@ -324,14 +297,10 @@ func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, t sim.Time,
 	acc, drain := ch.PostWrite(postT, d, local)
 	if tracked {
 		window.Push(drain)
-		ack := acc + c.ackTime(xp, remote)
-		if ack > c.pendingAck {
-			c.pendingAck = ack
-		}
-		c.hasPending = true
+		c.pendingAck = max(c.pendingAck, acc+c.ackTime(xp, remote))
 	}
 	if c.p.cfg.TrackData && data != nil {
-		c.p.persist.Write(ns.GlobalAddr(lineOff), data)
+		persistMaskedTo(&c.p.persist, ns.GlobalAddr(lineOff), data, mask)
 	}
 	return t
 }
@@ -361,10 +330,7 @@ func (c *MemCtx) flushRange(ns *Namespace, off int64, size int, issue sim.Time, 
 				}
 				delete(c.rfoDone, g)
 			}
-			t = c.postLine(ns, first, nil, t, true)
-			if c.p.cfg.TrackData && data != nil {
-				c.persistMasked(g, data, mask)
-			}
+			t = c.postLine(ns, first, data, mask, t, true)
 		}
 		first += mem.CacheLine
 	}
@@ -411,10 +377,7 @@ func (c *MemCtx) NTStore(ns *Namespace, off int64, size int, data []byte) {
 		// back first, as on real hardware.
 		if g := ns.GlobalAddr(line); llc.Present(g) {
 			if data, mask, wasDirty := llc.Evict(g); wasDirty {
-				t = c.postLine(ns, line, nil, t, false)
-				if c.p.cfg.TrackData && data != nil {
-					c.persistMasked(g, data, mask)
-				}
+				t = c.postLine(ns, line, data, mask, t, false)
 			}
 		}
 		var chunk []byte
@@ -422,7 +385,7 @@ func (c *MemCtx) NTStore(ns *Namespace, off int64, size int, data []byte) {
 			chunk = data[i : i+n]
 		}
 		if n == mem.CacheLine {
-			t = c.postLine(ns, line, chunk, t+c.p.cfg.NTPostDelay, true) - c.p.cfg.NTPostDelay
+			t = c.postLine(ns, line, chunk, fullLine, t+c.p.cfg.NTPostDelay, true) - c.p.cfg.NTPostDelay
 		} else {
 			wcData := chunk
 			if wcData == nil {
@@ -436,7 +399,7 @@ func (c *MemCtx) NTStore(ns *Namespace, off int64, size int, data []byte) {
 				if data == nil {
 					flushData = nil
 				}
-				t = c.postLine(ns, flushAddr-ns.Base, flushData, t+c.p.cfg.NTPostDelay, true) - c.p.cfg.NTPostDelay
+				t = c.postLine(ns, flushAddr-ns.Base, flushData, fullLine, t+c.p.cfg.NTPostDelay, true) - c.p.cfg.NTPostDelay
 			}
 		}
 		t += c.p.cfg.NTStoreIssue
@@ -446,6 +409,9 @@ func (c *MemCtx) NTStore(ns *Namespace, off int64, size int, data []byte) {
 }
 
 var zeroLine [mem.CacheLine]byte
+
+// fullLine is the byte mask of a whole 64 B line.
+const fullLine = ^uint64(0)
 
 // ---- Fences ----
 
@@ -459,23 +425,12 @@ func (c *MemCtx) SFence() {
 		if ns == nil {
 			return
 		}
-		lineOff := addr - ns.Base
-		t = c.postLine(ns, lineOff, nil, t+c.p.cfg.NTPostDelay, true) - c.p.cfg.NTPostDelay
+		t = c.postLine(ns, addr-ns.Base, data, mask, t+c.p.cfg.NTPostDelay, true) - c.p.cfg.NTPostDelay
 		t += c.p.cfg.NTStoreIssue
-		if c.p.cfg.TrackData {
-			c.persistMasked(addr, data, mask)
-		}
 	})
-	if c.hasPending && c.pendingAck > t {
-		t = c.pendingAck
-	}
-	c.hasPending = false
+	t = max(t, c.pendingAck)
 	c.pendingAck = 0
 	c.proc.AdvanceTo(t + c.p.cfg.FenceBase)
-}
-
-func (c *MemCtx) persistMasked(lineAddr int64, data []byte, mask uint64) {
-	persistMaskedTo(&c.p.persist, lineAddr, data, mask)
 }
 
 // persistMaskedTo writes only the mask-covered bytes of a 64 B line into

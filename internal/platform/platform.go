@@ -13,9 +13,9 @@ import (
 )
 
 // Platform is one simulated machine. It owns its simulation engine: all
-// simulated threads must be spawned through Go (or built on Context with
-// procs of the same engine) so that every component shares one timeline.
-// It is not safe for concurrent use — the engine serializes procs.
+// simulated threads must be spawned through Go so that every component
+// shares one timeline. It is not safe for concurrent use — the engine
+// serializes procs.
 type Platform struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -30,18 +30,6 @@ type Platform struct {
 	persist    mem.DataStore
 	namespaces []*Namespace // sorted by Base
 	ctxs       []*MemCtx
-	windowPool []*sim.Queue[sim.Time] // recycled per-DIMM WPQ windows
-}
-
-// getWindow hands out a pooled per-DIMM WPQ window, or a fresh one when
-// none is free.
-func (p *Platform) getWindow() *sim.Queue[sim.Time] {
-	if n := len(p.windowPool); n > 0 {
-		q := p.windowPool[n-1]
-		p.windowPool = p.windowPool[:n-1]
-		return q
-	}
-	return new(sim.Queue[sim.Time])
 }
 
 // Namespace is a platform-attached pmem namespace.
@@ -96,12 +84,16 @@ func (p *Platform) Config() Config { return p.cfg }
 func (p *Platform) Now() sim.Time { return p.eng.Now() }
 
 // Go spawns a simulated thread on the given socket, starting at the
-// engine's current time, and hands it a fresh memory context.
+// engine's current time, and hands it a fresh memory context. A socket the
+// platform lacks panics in the thread, so Run re-raises it.
 func (p *Platform) Go(name string, socket int, fn func(ctx *MemCtx)) {
 	p.eng.Go(name, p.eng.Now(), func(proc *sim.Proc) {
-		ctx := p.Context(proc, socket)
+		if socket < 0 || socket >= p.cfg.Geometry.Sockets {
+			panic(fmt.Sprintf("platform: socket %d out of range", socket))
+		}
+		ctx := &MemCtx{p: p, proc: proc, socket: socket, wc: cache.NewWCBuffer()}
+		p.ctxs = append(p.ctxs, ctx)
 		fn(ctx)
-		ctx.recycle()
 	})
 }
 
@@ -181,22 +173,6 @@ func (p *Platform) dimmOf(ns *Namespace, chanPos int) dimm.DIMM {
 
 func (p *Platform) channelOf(ns *Namespace, chanPos int) *imc.Channel {
 	return p.channels[ns.Socket][ns.Channels[chanPos]]
-}
-
-// Context creates a memory context for a simulated thread running on the
-// given socket.
-func (p *Platform) Context(proc *sim.Proc, socket int) *MemCtx {
-	if socket < 0 || socket >= p.cfg.Geometry.Sockets {
-		panic(fmt.Sprintf("platform: socket %d out of range", socket))
-	}
-	ctx := &MemCtx{
-		p:      p,
-		proc:   proc,
-		socket: socket,
-		wc:     cache.NewWCBuffer(),
-	}
-	p.ctxs = append(p.ctxs, ctx)
-	return ctx
 }
 
 // Crash simulates a power failure: every LLC dirty line and every pending

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"optanestudy/internal/sim"
@@ -191,6 +192,24 @@ func TestNamespaceBoundsChecked(t *testing.T) {
 	})
 	if !caught {
 		t.Error("out-of-range access not caught")
+	}
+}
+
+// TestGoRejectsBadSocket: a thread spawned on a socket the platform lacks
+// panics before its body runs, and Run re-raises that panic.
+func TestGoRejectsBadSocket(t *testing.T) {
+	for _, socket := range []int{-1, DefaultConfig().Geometry.Sockets} {
+		p := newPlatform(t, false)
+		p.Go("bad", socket, func(ctx *MemCtx) { t.Errorf("socket %d: thread body ran", socket) })
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			defer p.Close()
+			p.Run()
+			return nil
+		}()
+		if want := fmt.Sprintf("platform: socket %d out of range", socket); r != want {
+			t.Errorf("socket %d: Run panicked with %v, want %q", socket, r, want)
+		}
 	}
 }
 

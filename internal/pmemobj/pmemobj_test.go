@@ -81,6 +81,42 @@ func TestAllocFreeReuse(t *testing.T) {
 	})
 }
 
+// TestAllocLowestAddressFirst: the allocator reuses free blocks lowest
+// address first, whatever order they were freed in, and a split block's
+// remainder keeps its place below the free blocks above it.
+func TestAllocLowestAddressFirst(t *testing.T) {
+	p, pool := newPool(t)
+	run(p, func(ctx *platform.MemCtx) {
+		var offs []int64
+		for range 8 {
+			off, err := pool.Alloc(ctx, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs = append(offs, off)
+		}
+		for _, i := range []int{5, 1, 7, 3, 0, 6, 2, 4} {
+			pool.Free(ctx, offs[i])
+		}
+		for i, want := range offs {
+			if got, _ := pool.Alloc(ctx, 256); got != want {
+				t.Fatalf("allocation %d after the frees: got %d, want %d", i, got, want)
+			}
+		}
+
+		big, _ := pool.Alloc(ctx, 1024)
+		small, _ := pool.Alloc(ctx, 64)
+		pool.Free(ctx, small)
+		pool.Free(ctx, big)
+		if got, _ := pool.Alloc(ctx, 256); got != big {
+			t.Fatalf("split: got %d, want the big block %d", got, big)
+		}
+		if got, _ := pool.Alloc(ctx, 64); got != big+256+blockHeader {
+			t.Fatalf("after the split: got %d, want the remainder %d below %d", got, big+256+blockHeader, small)
+		}
+	})
+}
+
 func TestAllocSurvivesReopen(t *testing.T) {
 	p, pool := newPool(t)
 	var a, b int64

@@ -5,9 +5,11 @@
 package pmemobj
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"optanestudy/internal/platform"
 	"optanestudy/internal/pmem"
@@ -47,9 +49,12 @@ type Pool struct {
 	reg  pmem.Region
 	meta *pmem.Persister
 	log  *pmem.Persister
-	free map[int64]int64 // volatile free index: offset -> size
-	head int64           // bump frontier
+	free []freeBlock // volatile free index, in address order
+	head int64       // bump frontier
 }
+
+// freeBlock is a free heap block: its header offset and payload size.
+type freeBlock struct{ off, size int64 }
 
 func attachPool(ns *platform.Namespace) *Pool {
 	return &Pool{
@@ -57,7 +62,6 @@ func attachPool(ns *platform.Namespace) *Pool {
 		reg:  pmem.Whole(ns),
 		meta: pmem.NewPersister(pmem.StoreFlush),
 		log:  pmem.NewPersister(pmem.NTStream),
-		free: make(map[int64]int64),
 		head: heapOffset,
 	}
 }
@@ -126,21 +130,24 @@ func (p *Pool) Alloc(ctx *platform.MemCtx, size int) (int64, error) {
 		return 0, errors.New("pmemobj: bad allocation size")
 	}
 	want := align(size)
-	// First fit from the volatile free index.
-	for off, sz := range p.free {
-		if sz >= want {
-			delete(p.free, off)
-			if sz > want+blockHeader+16 {
-				// Split: register the remainder as a fresh free block.
-				rest := off + blockHeader + want
-				restSize := sz - want - blockHeader
-				p.writeHeader(ctx, rest, restSize, blockFree)
-				p.free[rest] = restSize
-				sz = want
-			}
-			p.writeHeader(ctx, off, sz, blockAlloc)
-			return off + blockHeader, nil
+	// First fit from the volatile free index: the lowest-addressed block
+	// that fits, so the choice is a pure function of the pool's history.
+	for i, b := range p.free {
+		if b.size < want {
+			continue
 		}
+		off, sz := b.off, b.size
+		if sz > want+blockHeader+16 {
+			// Split: the remainder is a fresh free block in the block's place.
+			rest := freeBlock{off: off + blockHeader + want, size: sz - want - blockHeader}
+			p.writeHeader(ctx, rest.off, rest.size, blockFree)
+			p.free[i] = rest
+			sz = want
+		} else {
+			p.free = slices.Delete(p.free, i, i+1)
+		}
+		p.writeHeader(ctx, off, sz, blockAlloc)
+		return off + blockHeader, nil
 	}
 	// Bump allocation.
 	off := p.head
@@ -160,7 +167,8 @@ func (p *Pool) Free(ctx *platform.MemCtx, payload int64) {
 		panic(fmt.Sprintf("pmemobj: free of non-allocated block at %d", payload))
 	}
 	p.writeHeader(ctx, off, size, blockFree)
-	p.free[off] = size
+	i, _ := slices.BinarySearchFunc(p.free, off, func(b freeBlock, off int64) int { return cmp.Compare(b.off, off) })
+	p.free = slices.Insert(p.free, i, freeBlock{off: off, size: size})
 }
 
 func (p *Pool) writeHeader(ctx *platform.MemCtx, off, size int64, state uint16) {
@@ -186,7 +194,7 @@ func (p *Pool) rebuildHeap() error {
 		}
 		switch state {
 		case blockFree:
-			p.free[off] = size
+			p.free = append(p.free, freeBlock{off: off, size: size}) // the scan runs in address order
 		case blockAlloc:
 			// live block
 		default:

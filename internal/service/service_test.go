@@ -3,9 +3,11 @@ package service
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"optanestudy/internal/harness"
 	"optanestudy/internal/platform"
 	"optanestudy/internal/sim"
 )
@@ -180,6 +182,27 @@ func TestServeDeterministic(t *testing.T) {
 	}
 	if a.WorkerBusy != b.WorkerBusy || a.QueueResidency != b.QueueResidency {
 		t.Fatal("instrumentation diverged")
+	}
+}
+
+// TestDeleteMixDeterministic: a free-heavy mix through the pmemkv backend
+// reuses freed blocks, so repeated runs agree only if the allocator's
+// choice among free blocks is a pure function of the run.
+func TestDeleteMixDeterministic(t *testing.T) {
+	spec := harness.Spec{
+		Scenario: "service/kv/pmemkv", Duration: 150 * sim.Microsecond,
+		Params: map[string]string{"del": "0.2", "get": "0.5", "put": "0.2", "scan": "0.1"},
+	}
+	var runs [2]*harness.Result
+	for i := range runs {
+		res, err := harness.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
+	}
+	if !reflect.DeepEqual(runs[0].Metrics, runs[1].Metrics) {
+		t.Fatalf("repeated runs differ:\n%v\n%v", runs[0].Metrics, runs[1].Metrics)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 type Zipf struct {
 	rng   *sim.RNG
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	item1 float64 // 1 + 0.5^theta: a scaled draw below it (and at least 1) is item 1
 }
 
 // NewZipf returns a Zipfian generator over [0, n). theta in (0, 1);
@@ -24,10 +24,11 @@ func NewZipf(n int64, theta float64, seed uint64) *Zipf {
 	if n <= 0 || theta <= 0 || theta >= 1 {
 		panic("workload: bad zipf parameters")
 	}
-	z := &Zipf{rng: sim.NewRNG(seed), n: n, theta: theta}
+	z := &Zipf{rng: sim.NewRNG(seed), n: n}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	z.item1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -52,7 +53,7 @@ func (z *Zipf) Next() int64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.item1 {
 		return 1
 	}
 	v := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
